@@ -26,10 +26,6 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
@@ -76,11 +72,6 @@ def min_norm_solve(g: np.ndarray, rhs: np.ndarray, rcond: float = 1e-9):
     x, *_ = np.linalg.lstsq(g, rhs, rcond=rcond)
     residual = float(np.max(np.abs(g @ x - rhs))) if rhs.size else 0.0
     return x, residual
-
-
-def pinv_gram(g: np.ndarray, rcond: float = 1e-9) -> np.ndarray:
-    """Pseudo-inverse of a Gram matrix, for repeated min-norm solves."""
-    return np.linalg.pinv(np.asarray(g, dtype=float), rcond=rcond)
 
 
 def nullspace(g: np.ndarray, rcond: float = 1e-9) -> np.ndarray:

@@ -31,16 +31,3 @@ for _a in range(4):
                 break
 del _a, _b, _c, _prod, _coeff
 
-
-def pauli_string_trace(indices):
-    """Trace of a product of Pauli matrices, tr(sigma_{i1} sigma_{i2} ...).
-
-    Always one of {0, +-2, +-2i}; computed from the group multiplication
-    table, no matrix products.
-    """
-    idx = 0
-    phase = 1.0 + 0.0j
-    for i in indices:
-        phase = phase * MULT_PHASE[idx, i]
-        idx = MULT_IDX[idx, i]
-    return 2.0 * phase if idx == 0 else 0.0j

@@ -207,11 +207,18 @@ def _drifted_setting(rng, rho, rot, lam_prod, cfg, axes, setting, n_set, n_parti
             )).reshape(m, -1)
         probs = np.clip(probs, 0.0, None)
         probs /= probs.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(probs, axis=1)
-        draws = rng.uniform(size=m)
-        outcomes = (draws[:, None] > cdf).sum(axis=1)
-        out[k] = lam_prod[outcomes].mean()
+        out[k] = lam_prod[_sample_outcomes(probs, rng.uniform(size=m))].mean()
     return out
+
+
+def _sample_outcomes(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcome index per row of ``probs`` for uniform draws in
+    [0, 1).  The last CDF entry is pinned to 1: a row total rounded just
+    below 1 would otherwise let a draw above it index past the last
+    outcome."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf[:, -1] = 1.0
+    return (draws[:, None] > cdf).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,43 @@
 """Exact Haar-moment engine.
 
 Twirling the t-fold tensor power of an observable over independent local
-Haar unitaries projects each party onto the span of the permutation
-operators V_pi (Schur-Weyl duality).  The coefficients of that projection
-solve the Gram system
+Haar unitaries projects each party onto the commutant of U^xt, which is
+spanned by the permutation operators V_pi (Schur-Weyl duality).  For
+qubits the t! operators V_pi span only C_t (Catalan) dimensions: 1, 2, 5,
+14, 42, 132 for t = 1..6.  The 321-avoiding permutations B index a basis
+(``symgroup.commutant_basis``), so the twirl coefficients solve the
+nonsingular Gram system on B,
 
-    M x = (tr(A_{j1} x ... x A_{jt} V_pi))_pi,   M[pi, pi'] = tr V_{pi o pi'},
+    G_BB x = (tr(A_{j1} x ... x A_{jt} V_b))_{b in B},   G[b, b'] = tr V_{b o b'},
 
-and the moment of a state follows from the contractions
-tr(rho^xt V_{piA} x V_{piB}), which this module evaluates in the Pauli
-basis through the cycle-product trace formula -- rho^xt is never formed.
+exactly (LU, no pseudo-inverse).  The moment of a state follows from the
+contractions tr(rho^xt V_{bA} x V_{bB}), which this module evaluates in the
+Pauli basis through the cycle-product trace formula with the Pauli-trace
+rows W_B of the basis -- rho^xt is never formed.
 
-Any minimum-norm solution of the Gram system is usable because kernel
-vectors of M are exactly linear dependencies among the V_pi; closed-form
-comparisons additionally fix a gauge in which a designated set of
-coefficients vanishes.
+A two-party table is one factor pair (P W_B, Q W_B) with P^T Q the
+coefficient table on B x B.  It has k = min(n_tuples, |B|) rows: with few
+product-term index tuples n, P holds w_n x_n and Q holds y_n; otherwise
+P = 1 and Q = sum_n w_n x_n y_n^T.  The moment is then the one contraction
+<P W_B, R^xt (Q W_B)> / 4^t with R the state's transfer matrix.
+Three-party tables (t <= 3) keep one factor triple per index tuple.
+
+Tables over all of S_t are derived from the basis solution on request.
+Embedding x_B into S_t (zeros off B) gives one solution of the full Gram
+system.  Kernel vectors of the full Gram matrix are exactly the linear
+dependencies among the V_pi, so projecting the embedded solution off the
+kernel gives the minimum-norm table, and the kernel shift of ``gauge_fix``
+gives the reduced-gauge table in which a designated set of coefficients
+vanishes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import symgroup as sg
 from .invariants import makhlin
-from .linalg import pinv_gram
 from .observables import SchmidtObservable, TripartiteObservable, schmidt_decompose
 from .paulis import MULT_IDX, MULT_PHASE
 from .rng import substream
@@ -61,15 +74,14 @@ def _digit_table(t: int) -> np.ndarray:
     return digits
 
 
-@lru_cache(maxsize=None)
-def _w_table(t: int) -> np.ndarray:
-    """W[pi, code] = tr(s_{mu1} x ... x s_{mut} V_pi) for all Pauli strings.
+def _w_rows(perms, t: int) -> np.ndarray:
+    """W[row, code] = tr(s_{mu1} x ... x s_{mut} V_pi) for each pi of
+    ``perms`` and all Pauli strings.
 
     Each entry is a product over cycles of single Pauli-string traces,
     evaluated with the group multiplication table.
     """
     digits = _digit_table(t)
-    perms = sg.enumerate_group(t)
     w = np.empty((len(perms), 4**t), dtype=complex)
     for row, p in enumerate(perms):
         total = np.ones(4**t, dtype=complex)
@@ -85,13 +97,38 @@ def _w_table(t: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
+def _basis_w(t: int) -> np.ndarray:
+    """Pauli-trace rows of the qubit commutant basis."""
+    return _w_rows(sg.commutant_basis(t, 2), t)
+
+
 # ---------------------------------------------------------------------------
-# Gram-system solves
+# Gram-system solves on the commutant basis
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _gram_pinv(t: int, d: int) -> np.ndarray:
-    return pinv_gram(sg.gram_matrix(t, d).entries)
+def _basis_gram(t: int, d: int):
+    """(G[B, B], cond G[B, B]) for the commutant basis B of S_t."""
+    basis = sg.commutant_basis(t, d)
+    gram = sg.gram_block(basis, basis, d).astype(float)
+    gram.setflags(write=False)
+    return gram, float(np.linalg.cond(gram))
+
+
+def _solve_basis(rhs: np.ndarray, t: int, d: int):
+    """Coefficients x[n] over B with G[B, B] x[n] = rhs[n]; returns the
+    solutions and the largest absolute residual."""
+    gram, _ = _basis_gram(t, d)
+    b = np.ascontiguousarray(rhs.T, dtype=complex)
+    x = np.ascontiguousarray(np.linalg.solve(gram, b))
+    # G[B, B] is real: one real product over the interleaved real and
+    # imaginary parts of x
+    back = (gram @ x.view(float)).view(complex)
+    residual = float(np.max(np.abs(back - b))) if rhs.size else 0.0
+    if residual > SOLVE_RESIDUAL_TOL:
+        raise EngineError(f"Gram solve residual {residual:.2e} above tolerance")
+    return x.T, residual
 
 
 def _trace_tensors(factors: np.ndarray, t: int) -> list:
@@ -106,10 +143,10 @@ def _trace_tensors(factors: np.ndarray, t: int) -> list:
     return tensors
 
 
-def _rhs_for_tuples(factors: np.ndarray, tuples: np.ndarray, t: int) -> np.ndarray:
-    """rhs[n, pi] = tr(F_{j1} x ... x F_{jt} V_pi) for every index tuple."""
-    tensors = _trace_tensors(factors, t)
-    perms = sg.enumerate_group(t)
+def _rhs_for_tuples(factors: np.ndarray, tuples: np.ndarray, perms) -> np.ndarray:
+    """rhs[n, col] = tr(F_{j1} x ... x F_{jt} V_pi) for every index tuple
+    and every pi of ``perms``."""
+    tensors = _trace_tensors(factors, tuples.shape[1])
     rhs = np.empty((tuples.shape[0], len(perms)), dtype=complex)
     for col, p in enumerate(perms):
         vals = np.ones(tuples.shape[0], dtype=complex)
@@ -120,9 +157,17 @@ def _rhs_for_tuples(factors: np.ndarray, tuples: np.ndarray, t: int) -> np.ndarr
     return rhs
 
 
+def _solve_tuples(factors: np.ndarray, tuples: np.ndarray, t: int):
+    """Basis coefficients of every index tuple's factor product, with the
+    largest solve residual."""
+    d = factors.shape[1]
+    rhs = _rhs_for_tuples(factors, tuples, sg.commutant_basis(t, d))
+    return _solve_basis(rhs, t, d)
+
+
 def solve_factor_coefficients(factors, t: int = None, d: int = 2) -> np.ndarray:
-    """Minimum-norm coefficients x with sum_pi x_pi V_pi the Haar average
-    of F_1 x ... x F_t over simultaneous rotations.
+    """Minimum-norm coefficients x over S_t with sum_pi x_pi V_pi the Haar
+    average of F_1 x ... x F_t over simultaneous rotations.
 
     Any kernel shift of the result represents the same operator.
     """
@@ -130,16 +175,15 @@ def solve_factor_coefficients(factors, t: int = None, d: int = 2) -> np.ndarray:
     t = len(factors) if t is None else t
     if len(factors) != t:
         raise ValueError("need one factor per tensor slot")
-    rhs = np.array([sg.trace_with_v(factors, p) for p in sg.enumerate_group(t)])
-    x = _gram_pinv(t, d) @ rhs
-    residual = np.max(np.abs(sg.gram_matrix(t, d).entries @ x - rhs))
-    if residual > SOLVE_RESIDUAL_TOL:
-        raise EngineError(f"Gram solve residual {residual:.2e} above tolerance")
-    return x
+    if any(f.shape != (d, d) for f in factors):
+        raise ValueError(f"factors must be {d}x{d} matrices")
+    rhs = np.array([sg.trace_with_v(factors, p) for p in sg.commutant_basis(t, d)])
+    x, _ = _solve_basis(rhs[None, :], t, d)
+    return _embedding(t, d, False) @ x[0]
 
 
 # ---------------------------------------------------------------------------
-# Gauge fixing
+# Gauge fixing and full-S_t tables
 # ---------------------------------------------------------------------------
 
 # coefficients that a kernel shift can always set to zero, leaving a
@@ -181,45 +225,63 @@ def gauge_fix(x: np.ndarray, t: int, d: int = 2) -> np.ndarray:
     return x + x[..., rows] @ shift.T
 
 
+@lru_cache(maxsize=None)
+def _embedding(t: int, d: int, reduced: bool) -> np.ndarray:
+    """Real (t!, |B|) map from basis coefficients to a full S_t solution:
+    the minimum-norm one or, with ``reduced``, the gauge-fixed one."""
+    perms = sg.enumerate_group(t)
+    index = {p: i for i, p in enumerate(perms)}
+    basis = sg.commutant_basis(t, d)
+    emb = np.zeros((len(perms), len(basis)))
+    emb[[index[b] for b in basis], np.arange(len(basis))] = 1.0
+    if len(basis) < len(perms):
+        kernel = sg.kernel_basis(sg.gram_matrix(t, d))
+        emb -= kernel @ (kernel.T @ emb)
+        if reduced and t in GAUGE_ZEROS:
+            rows, shift = _gauge_shift(t, d)
+            emb += shift @ emb[rows]
+    emb.setflags(write=False)
+    return emb
+
+
 # ---------------------------------------------------------------------------
 # Coefficient tables and exact moments
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class EngineDiagnostics:
+    """The numbers behind a table build's exactness guards."""
+
+    basis_size: int            # |B|, the commutant dimension
+    gram_condition: float      # cond(G[B, B])
+    solve_residual: float      # max |G[B, B] x - rhs| over every solve
+
+
 @dataclass
 class TwirlCoefficients:
-    """Twirl of O^xt in the permutation basis, kept in factorized form:
-    one (x, y[, z]) coefficient-vector triple per product-term index tuple.
+    """Twirl of O^xt on the commutant basis B, kept in factorized form:
+    ``factors`` holds one (k, |B|) coefficient array per party, and the
+    coefficient table on B^parties is sum_k p_k x q_k [x z_k].
     """
 
     t: int
     parties: int
-    weights: np.ndarray        # (n_tuples,)
-    xs: np.ndarray             # (n_tuples, t!)
-    ys: np.ndarray             # (n_tuples, t!)
-    zs: np.ndarray = None      # (n_tuples, t!) for three parties
-    _wx: np.ndarray = None     # cached contractions with the Pauli table
-    _wy: np.ndarray = None
-    _wz: np.ndarray = None
+    factors: tuple
+    diagnostics: EngineDiagnostics
+    _pauli: tuple = field(init=False, repr=False)   # factors @ W_B
 
     def __post_init__(self):
-        w = _w_table(self.t)
-        self._wx = self.xs @ w
-        self._wy = self.ys @ w
-        if self.zs is not None:
-            self._wz = self.zs @ w
+        w = _basis_w(self.t)
+        self._pauli = tuple(f @ w for f in self.factors)
 
     def dense(self, gauge: bool = False) -> np.ndarray:
-        """Full coefficient table over S_t^parties; optionally gauge-fixed
-        per party before the outer product."""
-        xs, ys = self.xs, self.ys
-        zs = self.zs
-        if gauge:
-            xs = gauge_fix(xs, self.t)
-            ys = gauge_fix(ys, self.t)
-            zs = gauge_fix(zs, self.t) if zs is not None else None
+        """Full coefficient table over S_t^parties: the minimum-norm table,
+        or with ``gauge`` the reduced-gauge table of every party."""
+        emb = _embedding(self.t, 2, gauge)
+        cols = [f @ emb.T for f in self.factors]
         if self.parties == 2:
-            return np.einsum("n,na,nb->ab", self.weights, xs, ys)
-        return np.einsum("n,na,nb,nc->abc", self.weights, xs, ys, zs)
+            return cols[0].T @ cols[1]
+        return np.einsum("na,nb,nc->abc", *cols)
 
     def moment(self, state) -> float:
         """Exact t-th randomized-measurement moment of ``state``."""
@@ -227,10 +289,10 @@ class TwirlCoefficients:
         r = transfer_from_bloch(state)
         t = self.t
         if self.parties == 2:
-            z = _apply_transfer(self._wy, r, t)
-            val = np.einsum("n,nc,nc->", self.weights, self._wx, z) / 4**t
+            pw, qw = self._pauli
+            val = np.einsum("kc,kc->", pw, _apply_transfer(qw, r, t)) / 4**t
         else:
-            val = _triple_contract(self.weights, self._wx, self._wy, self._wz, r, t)
+            val = _triple_contract(*self._pauli, r, t)
         if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
             raise EngineError(f"moment has imaginary residue {val.imag:.2e}")
         return float(val.real)
@@ -241,14 +303,16 @@ class TwirlCoefficients:
 
 def _apply_transfer(w: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:
     """Apply R^xt to a stack of coefficient vectors over Pauli strings."""
-    z = w.reshape((w.shape[0],) + (4,) * t)
+    n = w.shape[0]
+    # r is real, so it acts on the interleaved real and imaginary parts alike
+    z = np.ascontiguousarray(w, dtype=complex).view(float)
     for k in range(t):
-        z = np.moveaxis(np.moveaxis(z, 1 + k, -1) @ r.T, -1, 1 + k)
-    return z.reshape(w.shape[0], 4**t)
+        z = r @ z.reshape(n * 4**k, 4, -1)
+    return z.reshape(n, -1).view(complex)
 
 
-def _triple_contract(weights, wx, wy, wz, r3: np.ndarray, t: int) -> complex:
-    """sum_n w_n <wx_n x wy_n x wz_n, R3^xt> / 8^t for a three-party
+def _triple_contract(wx, wy, wz, r3: np.ndarray, t: int) -> complex:
+    """sum_k <wx_k x wy_k x wz_k, R3^xt> / 8^t for a three-party
     transfer tensor r3 of shape (4, 4, 4)."""
     n = wx.shape[0]
     rflat = r3.reshape(4, 16)
@@ -260,11 +324,11 @@ def _triple_contract(weights, wx, wy, wz, r3: np.ndarray, t: int) -> complex:
     wyr = wy.reshape((n,) + (4,) * t)
     wzr = wz.reshape((n,) + (4,) * t)
     if t == 1:
-        return np.einsum("n,nab,na,nb->", weights, z, wyr, wzr) / 8**t
+        return np.einsum("nab,na,nb->", z, wyr, wzr) / 8**t
     if t == 2:
-        return np.einsum("n,nabcd,nac,nbd->", weights, z, wyr, wzr) / 8**t
+        return np.einsum("nabcd,nac,nbd->", z, wyr, wzr) / 8**t
     if t == 3:
-        return np.einsum("n,nabcdef,nace,nbdf->", weights, z, wyr, wzr) / 8**t
+        return np.einsum("nabcdef,nace,nbdf->", z, wyr, wzr) / 8**t
     raise ValueError("three-party moments support t <= 3")
 
 
@@ -286,41 +350,34 @@ def twirl_coefficients(obs, t: int) -> TwirlCoefficients:
     """Coefficient table of the twirled observable at moment order t.
 
     ``obs`` may be a Hermitian 4x4 matrix, a SchmidtObservable (two
-    parties, t <= 6 supported, t <= 4 recommended for rank > 1) or a
-    TripartiteObservable (t <= 3).
+    parties, t <= 6) or a TripartiteObservable (t <= 3).
     """
     if isinstance(obs, np.ndarray):
         obs = schmidt_decompose(obs)
     if isinstance(obs, SchmidtObservable):
-        tuples = _index_tuples(obs.rank, t)
-        weights = np.prod(np.asarray(obs.s)[tuples], axis=1)
-        xs = _solve_tuples(np.stack(obs.A), tuples, t)
-        if obs.is_symmetric():
-            ys = xs
-        else:
-            ys = _solve_tuples(np.stack(obs.B), tuples, t)
-        return TwirlCoefficients(t=t, parties=2, weights=weights, xs=xs, ys=ys)
-    if isinstance(obs, TripartiteObservable):
+        values = obs.s
+        per_party = [obs.A] if obs.is_symmetric() else [obs.A, obs.B]
+        parties = 2
+    elif isinstance(obs, TripartiteObservable):
         if t > 3:
             raise ValueError("three-party twirl supports t <= 3")
-        r = obs.num_terms
-        tuples = _index_tuples(r, t)
-        weights = np.prod(np.asarray(obs.weights)[tuples], axis=1)
-        xs = _solve_tuples(np.stack([term[0] for term in obs.terms]), tuples, t)
-        ys = _solve_tuples(np.stack([term[1] for term in obs.terms]), tuples, t)
-        zs = _solve_tuples(np.stack([term[2] for term in obs.terms]), tuples, t)
-        return TwirlCoefficients(t=t, parties=3, weights=weights, xs=xs, ys=ys, zs=zs)
-    raise TypeError(f"unsupported observable type {type(obs)!r}")
-
-
-def _solve_tuples(factors: np.ndarray, tuples: np.ndarray, t: int) -> np.ndarray:
-    rhs = _rhs_for_tuples(factors, tuples, t)
-    pinv = _gram_pinv(t, factors.shape[1])
-    xs = rhs @ pinv  # pinv of a symmetric matrix is symmetric
-    residual = np.max(np.abs(xs @ sg.gram_matrix(t, factors.shape[1]).entries - rhs))
-    if residual > SOLVE_RESIDUAL_TOL:
-        raise EngineError(f"Gram solve residual {residual:.2e} above tolerance")
-    return xs
+        values = obs.weights
+        per_party = [[term[k] for term in obs.terms] for k in range(3)]
+        parties = 3
+    else:
+        raise TypeError(f"unsupported observable type {type(obs)!r}")
+    tuples = _index_tuples(len(values), t)
+    solved = [_solve_tuples(np.stack(f), tuples, t) for f in per_party]
+    factors = [x for x, _ in solved]
+    if len(factors) < parties:  # symmetric decomposition, B_j = A_j
+        factors.append(factors[0])
+    factors[0] = np.prod(np.asarray(values)[tuples], axis=1)[:, None] * factors[0]
+    gram, cond = _basis_gram(t, 2)
+    if parties == 2 and len(tuples) > len(gram):
+        factors = [np.eye(len(gram)), factors[0].T @ factors[1]]
+    diagnostics = EngineDiagnostics(basis_size=len(gram), gram_condition=cond,
+                                    solve_residual=max(res for _, res in solved))
+    return TwirlCoefficients(t, parties, tuple(factors), diagnostics)
 
 
 def exact_moment(obs, state, t: int) -> float:

@@ -158,3 +158,21 @@ def test_simulate_rejects_non_product_terms():
         ps.simulate_moment([[np.eye(4)]], bell_state(), cfg)
     with pytest.raises(ValueError):
         ps.simulate_moment([[I, I, I]], bell_state(), cfg)
+
+
+def test_sampled_outcome_in_range_when_cdf_ends_below_one():
+    # normalized rows whose cumulative sum rounds to below the largest
+    # uniform draw, 1 - 2^-53
+    probs = np.random.default_rng(7).random((4000, 4))
+    probs /= probs.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(probs, axis=1)
+    top = np.nextafter(1.0, 0.0)
+    short = cdf[:, -1] < top
+    assert short.any()
+    outcomes = ps._sample_outcomes(probs[short], np.full(int(short.sum()), top))
+    np.testing.assert_array_equal(outcomes, 3)
+    # draws inside every row's rounded range sample exactly as before
+    draws = np.random.default_rng(8).uniform(size=len(probs)) * cdf[:, -1]
+    np.testing.assert_array_equal(
+        ps._sample_outcomes(probs, draws), (draws[:, None] > cdf).sum(axis=1)
+    )

@@ -143,6 +143,23 @@ def test_gram_matches_brute_force():
                 assert g[a, b] == brute
 
 
+def test_gram_matches_cycle_count_loop():
+    # the vectorised cycle count against Permutation.num_cycles
+    for d in (2, 3):
+        for t in range(1, 6):
+            perms = sg.enumerate_group(t)
+            loop = np.array([[d ** p.compose(q).num_cycles() for q in perms] for p in perms])
+            assert np.array_equal(sg.gram_matrix(t, d).entries, loop)
+    perms = sg.enumerate_group(6)
+    g = sg.gram_matrix(6, 2).entries
+    rng = np.random.default_rng(6)
+    for a, b in rng.integers(0, len(perms), (2000, 2)):
+        assert g[a, b] == 2 ** perms[a].compose(perms[b]).num_cycles()
+    rows = [perms[i] for i in rng.integers(0, len(perms), 70)]
+    assert np.array_equal(sg.gram_block(rows, perms[:5], 2),
+                          [[2 ** p.compose(q).num_cycles() for q in perms[:5]] for p in rows])
+
+
 def test_kernel_dimensions_and_vectors():
     k3 = sg.kernel_basis(sg.gram_matrix(3, 2))
     assert k3.shape[1] == 1

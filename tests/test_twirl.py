@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from rmoments.observables import (
 )
 from rmoments.paulis import PAULIS
 from rmoments.states import (
+    ThreeQubitState,
     bell_state,
     bloch_from_density,
     density_from_bloch,
@@ -183,8 +186,8 @@ def test_pair_trace_matches_engine_contraction(rng):
         rhot = rho
         for _ in range(t - 1):
             rhot = np.kron(rhot, rho)
-        w = twirl._w_table(t)
         perms = sg.enumerate_group(t)
+        w = twirl._w_rows(perms, t)
         for _ in range(8):
             ia, ib = rng.integers(0, len(perms), 2)
             brute = np.trace(rhot @ joint_v(perms[ia], perms[ib], t))
@@ -384,7 +387,7 @@ def test_t4_sign_table_and_survival_rule(rng):
     summation for pairs (pi, pi) and (pi, pi^-1)."""
     perms = sg.enumerate_group(4)
     index = {p.cycle_string(): i for i, p in enumerate(perms)}
-    w = twirl._w_table(4)
+    w = twirl._w_rows(perms, 4)
     digits = twirl._digit_table(4)
     t_mat = rng.uniform(-1, 1, (3, 3))
     det = np.linalg.det(t_mat)
@@ -499,3 +502,186 @@ def test_three_party_trace_identities(rng):
               + st.alpha @ st.TCA.T @ st.gamma + st.beta @ st.TBC @ st.gamma
               + rec.trTTT) / 8
     assert val == pytest.approx(expect, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# commutant basis against a full-S_t pseudo-inverse reference
+# ---------------------------------------------------------------------------
+
+CATALAN = (1, 2, 5, 14, 42, 132)
+
+
+def test_commutant_basis_is_catalan_sized_and_independent():
+    for t, size in zip(range(1, 7), CATALAN):
+        basis = sg.commutant_basis(t)
+        assert len(basis) == size
+        assert {p.inverse() for p in basis} == set(basis)
+        gram = sg.gram_block(basis, basis, 2)
+        assert np.linalg.matrix_rank(gram.astype(float)) == size
+    # qutrits: the basis size is the rank of the full Gram matrix
+    for t in range(1, 6):
+        basis = sg.commutant_basis(t, 3)
+        full = np.linalg.matrix_rank(sg.gram_matrix(t, 3).entries.astype(float))
+        block = sg.gram_block(basis, basis, 3).astype(float)
+        assert len(basis) == full == np.linalg.matrix_rank(block)
+
+
+def _ref_trace_tensors(factors, t):
+    f = np.asarray(factors, dtype=complex)
+    tensors = [np.trace(f, axis1=1, axis2=2)]
+    chain = f
+    for _ in range(t - 1):
+        chain = np.einsum("...ij,bjk->...bik", chain, f)
+        tensors.append(np.trace(chain, axis1=-2, axis2=-1))
+    return tensors
+
+
+def _ref_solve(factors, tuples, t):
+    """Minimum-norm coefficients over all of S_t: rhs over every
+    permutation, times the pseudo-inverse of the full Gram matrix."""
+    tensors = _ref_trace_tensors(factors, t)
+    perms = sg.enumerate_group(t)
+    rhs = np.empty((len(tuples), len(perms)), dtype=complex)
+    for col, p in enumerate(perms):
+        vals = np.ones(len(tuples), dtype=complex)
+        for cyc in p.cycles():
+            vals = vals * tensors[len(cyc) - 1][tuple(tuples[:, slot] for slot in cyc)]
+        rhs[:, col] = vals
+    gram, pinv, _ = _ref_gram(t)
+    x = _times_real(rhs, pinv)
+    assert np.max(np.abs(_times_real(x, gram) - rhs)) <= twirl.SOLVE_RESIDUAL_TOL
+    return x
+
+
+def _times_real(z, m):
+    return z.real @ m + 1j * (z.imag @ m)
+
+
+@lru_cache(maxsize=None)
+def _ref_gram(t):
+    """Full Gram matrix, its pseudo-inverse and an orthonormal kernel basis."""
+    gram = sg.gram_matrix(t, 2).entries.astype(float)
+    _, sv, vt = np.linalg.svd(gram)
+    kernel = vt[int(np.sum(sv > 1e-9 * sv[0])):].T
+    return gram, np.linalg.pinv(gram, rcond=1e-9), kernel
+
+
+def _ref_tables(obs, t):
+    """Per-party minimum-norm coefficient rows over S_t, one row per index
+    tuple, with the tuple weights folded into the first party."""
+    if isinstance(obs, TripartiteObservable):
+        per_party = [np.stack([term[k] for term in obs.terms]) for k in range(3)]
+        values = obs.weights
+    else:
+        per_party = [np.stack(obs.A), np.stack(obs.B)]
+        values = obs.s
+    tuples = np.indices((len(values),) * t).reshape(t, -1).T
+    rows = []
+    for f in per_party:
+        same = rows and np.array_equal(f, per_party[len(rows) - 1])
+        rows.append(rows[-1] if same else _ref_solve(f, tuples, t))
+    rows[0] = np.prod(np.asarray(values)[tuples], axis=1)[:, None] * rows[0]
+    return rows
+
+
+def _ref_apply(rows, r, t):
+    """Contract every Pauli slot of each row with r's second index; r may
+    map one slot to a joint (4 x 4) slot of size 16."""
+    z = rows.reshape((len(rows),) + (4,) * t)
+    for _ in range(t):
+        z = np.tensordot(z, r, axes=([1], [0]))
+    return z.reshape(len(rows), -1)
+
+
+def _ref_state_side(state, t):
+    """The full Pauli-trace table W over S_t with, for two parties, the
+    pair traces tr(rho^xt V_a x V_b) and, for three, the transfer tensor."""
+    w = twirl._w_rows(sg.enumerate_group(t), t)
+    r = transfer_from_bloch(state)
+    if isinstance(state, ThreeQubitState):
+        return w, r
+    return w, w @ _ref_apply(w, r.T, t).T / 4**t
+
+
+def _ref_moment(rows, dense, side, t):
+    w, state_side = side
+    if len(rows) == 2:
+        # sum_{a,b} D[a, b] tr(rho^xt V_a x V_b), D the dense table
+        return np.sum(dense * state_side)
+    wx, wy, wz = (x @ w for x in rows)
+    n = len(wx)
+    z = _ref_apply(wx, state_side.reshape(4, 16), t).reshape((n,) + (4, 4) * t)
+    wy, wz = wy.reshape((n,) + (4,) * t), wz.reshape((n,) + (4,) * t)
+    spec = {1: "nab,na,nb->", 2: "nabcd,nac,nbd->", 3: "nabcdef,nace,nbdf->"}[t]
+    return np.einsum(spec, z, wy, wz) / 8**t
+
+
+def _ref_reduced(rows, t):
+    """Per-party gauge fix of reference rows with a kernel basis of the
+    full Gram matrix: the designated coefficients set to zero."""
+    if t not in twirl.GAUGE_ZEROS:
+        return rows
+    names = [p.cycle_string() for p in sg.enumerate_group(t)]
+    zero = [names.index(n) for n in twirl.GAUGE_ZEROS[t]]
+    kernel = _ref_gram(t)[2]
+    return [x - np.linalg.solve(kernel[zero], x[:, zero].T).T @ kernel.T for x in rows]
+
+
+def _dense(rows):
+    if len(rows) == 2:
+        return rows[0].T @ rows[1]
+    return np.einsum("na,nb,nc->abc", *rows)
+
+
+def _engine_cases(rng):
+    """(t, observable) pairs: t = 1..6 at ranks 1-4, generic and symmetric,
+    and three parties at t <= 3."""
+    for t in range(1, 7):
+        for rank in (1, 2, 3, 4):
+            yield t, random_rank_observable(rng, rank)
+            yield t, random_symmetric_observable(rng, rank)
+    for t in (1, 2, 3):
+        for terms in (1, 2):
+            yield t, TripartiteObservable(
+                [tuple(random_hermitian(rng) for _ in range(3)) for _ in range(terms)],
+                rng.uniform(0.5, 1.5, terms),
+            )
+
+
+def test_engine_matches_full_group_reference(rng):
+    states = {2: [random_bloch_record(2, rng) for _ in range(2)],
+              3: [random_bloch_record(3, rng) for _ in range(2)]}
+    sides = {}
+    for t, obs in _engine_cases(rng):
+        co = twirl.twirl_coefficients(obs, t)
+        ref = _ref_tables(obs, t)
+        dense = _dense(ref)
+        for i, st in enumerate(states[co.parties]):
+            key = (t, co.parties, i)
+            if key not in sides:
+                sides[key] = _ref_state_side(st, t)
+            want = _ref_moment(ref, dense, sides[key], t)
+            assert abs(want.imag) <= 1e-10 * max(1.0, abs(want.real))
+            assert co.moment(st) == pytest.approx(want.real, rel=1e-10, abs=1e-12)
+        if t <= 4:
+            for gauge, want in ((False, dense), (True, _dense(_ref_reduced(ref, t)))):
+                scale = max(1.0, np.max(np.abs(want)))
+                np.testing.assert_allclose(co.dense(gauge=gauge), want, atol=1e-12 * scale)
+
+
+def test_factor_rows_are_capped_at_basis_size(rng):
+    for rank in (1, 4):
+        co = twirl.twirl_coefficients(random_rank_observable(rng, rank), 6)
+        assert [f.shape for f in co.factors] == [(min(rank**6, 132), 132)] * 2
+
+
+def test_diagnostics_record(rng):
+    co = twirl.twirl_coefficients(random_rank_observable(rng, 3), 5)
+    diag = co.diagnostics
+    basis = sg.commutant_basis(5)
+    assert diag.basis_size == len(basis) == 42
+    gram = sg.gram_block(basis, basis, 2).astype(float)
+    assert diag.gram_condition == pytest.approx(np.linalg.cond(gram), rel=1e-9)
+    assert 0.0 <= diag.solve_residual <= twirl.SOLVE_RESIDUAL_TOL
+    with pytest.raises(AttributeError):
+        diag.basis_size = 0
