@@ -167,10 +167,11 @@ def _cmd_mc(args) -> int:
 
 def _cmd_simulate(args) -> int:
     state = _load_state(args.state)
+    pipe = protocol_sim.PIPELINES.get(args.invariant)
     cfg = protocol_sim.ProtocolConfig(
         unitary_count=args.unitaries,
         shots_per_setting=args.shots,
-        moment=args.t,
+        moment=3 if pipe is None else pipe.t,
         drift_rate=args.drift,
         setting_change_cost=args.drift_cost,
         seed=args.seed,
@@ -184,26 +185,19 @@ def _cmd_simulate(args) -> int:
             raise DimensionError("two-qubit invariant recovery needs a two-qubit state")
         rep = protocol_sim.recover_invariant(args.invariant, state,
                                              None if args.exact else cfg)
-    if args.csv:
-        _write_trace_csv(args, state)
+    if args.csv and pipe is not None:
+        _write_trace_csv(args.csv, pipe, state, cfg)
     _emit(rep.as_dict(), args.out)
     return EXIT_OK
 
 
-def _write_trace_csv(args, state):
-    """Per-(frame, setting) estimates of the invariant's primary observable."""
-    pipe = protocol_sim.PIPELINES.get(args.invariant)
-    if pipe is None:
-        return
-    cfg = protocol_sim.ProtocolConfig(args.unitaries, args.shots, pipe.t,
-                                      drift_rate=args.drift,
-                                      setting_change_cost=args.drift_cost,
-                                      seed=args.seed)
+def _write_trace_csv(path: str, pipe, state, cfg):
+    """Per-(frame, setting) estimates of the pipeline's primary observable."""
     _, trace = protocol_sim.simulate_moment(
         [list(t) for t in pipe.terms], state, cfg,
-        label=args.invariant, collect_trace=True,
+        label=pipe.name, collect_trace=True,
     )
-    with open(args.csv, "w") as fh:
+    with open(path, "w") as fh:
         fh.write("unitary_index,setting_index,estimate\n")
         for k in range(trace.shape[0]):
             for j in range(trace.shape[1]):
@@ -274,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(protocol_sim.PIPELINES) + ("kempe",))
     p.add_argument("--unitaries", type=int, default=1000)
     p.add_argument("--shots", type=int, default=200)
-    p.add_argument("--t", type=int, default=3)
     p.add_argument("--drift", type=float, default=0.0)
     p.add_argument("--drift-cost", type=int, default=0,
                    help="extra drift ticks charged per setting change")

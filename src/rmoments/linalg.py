@@ -1,8 +1,7 @@
 """Dense complex matrix kernel shared by all modules.
 
 Thin, well-tested wrappers around numpy: Kronecker products, partial
-transposition on qubit factors, Hermitian checks and minimum-norm solves of
-(possibly singular) Gram systems.
+transposition on qubit factors, Hermitian checks and null spaces.
 """
 
 import numpy as np
@@ -57,21 +56,6 @@ def partial_transpose(m: np.ndarray, subsystem: int) -> np.ndarray:
     col = k + subsystem - 1
     t = np.swapaxes(t, row, col)
     return t.reshape(m.shape)
-
-
-def min_norm_solve(g: np.ndarray, rhs: np.ndarray, rcond: float = 1e-9):
-    """Minimum-norm least-squares solution of ``g x = rhs``.
-
-    ``g`` is a (possibly singular) symmetric positive-semidefinite Gram
-    matrix.  Returns ``(x, residual)`` with ``residual = max|g x - rhs|``;
-    a residual above ~1e-9 means the right-hand side is outside the span,
-    which indicates a bug upstream.
-    """
-    g = np.asarray(g, dtype=float)
-    rhs = np.asarray(rhs, dtype=complex)
-    x, *_ = np.linalg.lstsq(g, rhs, rcond=rcond)
-    residual = float(np.max(np.abs(g @ x - rhs))) if rhs.size else 0.0
-    return x, residual
 
 
 def nullspace(g: np.ndarray, rcond: float = 1e-9) -> np.ndarray:

@@ -10,11 +10,18 @@ per-frame mean introduces an O(1/M) bias, controlled by M.
 Recovery pipelines implement the known optimal observable per invariant.
 Calibration constants are never taken from an external table: each
 pipeline's moment is fitted against an invariant dictionary with the exact
-engine, and recovery inverts that affine relation using previously
-recovered invariants.
+engine (``twirl.fit``).  One evaluator runs every pipeline: it recovers the
+prerequisite invariants first, measures the pipeline's moment, inverts the
+fitted affine relation and propagates the errors to first order.  It takes
+an embedding: none, for a two-qubit state, or a pair AB, BC or AC of a
+three-qubit state, which is how Kempe recovery reuses the two-qubit
+pipelines.  On a pair the shot protocol measures the identity-padded
+settings on the whole state, while the exact path runs the two-party tables
+on the pair's marginal: twirling the identity on the third party leaves the
+identity, so the padded observable's moment is the marginal's moment.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -324,25 +331,15 @@ def calibrate(name: str) -> tuple:
     y = engines[0].moments(states)
     if pipe.difference is not None:
         y = y - engines[1].moments(states)
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = float(np.max(np.abs(design @ sol - y)))
-    if residual > RECOVERY_TOL:
+    dec = twirl.fit(pipe.dictionary, design, y)
+    if dec.residual > RECOVERY_TOL:
         raise twirl.EngineError(
-            f"pipeline {name}: dictionary does not span the moment (residual {residual:.2e})"
+            f"pipeline {name}: dictionary does not span the moment (residual {dec.residual:.2e})"
         )
-    return tuple(sol)
+    return tuple(dec.coefficients)
 
 
 COEFF_NEGLIGIBLE = 1e-9
-
-
-def _invert_calibration(pipe: Pipeline, coeffs, r_value, known_values):
-    target_c = coeffs[pipe.dictionary.index(pipe.target)]
-    rest = r_value
-    for nm, c in zip(pipe.dictionary, coeffs):
-        if nm != pipe.target and abs(c) > COEFF_NEGLIGIBLE:
-            rest -= c * eval_known(nm, known_values)
-    return rest / target_c
 
 
 def _reference_value(name: str, state: TwoQubitState) -> float:
@@ -350,6 +347,58 @@ def _reference_value(name: str, state: TwoQubitState) -> float:
     if name == "detsq":
         return rec.I1**2
     return getattr(rec, {"det": "I1", "hodge": "I14"}.get(name, name))
+
+
+def _measure(name: str, state, cfg: ProtocolConfig, pair: str):
+    """(value, stderr) of pipeline ``name``'s moment, combined over its
+    difference observable: exact with ``cfg = None``, else finite-shot.
+    ``pair`` embeds the pipeline into that pair of a three-qubit state."""
+    pipe = PIPELINES[name]
+    if cfg is None:
+        if pair is not None:
+            state = marginal_bloch(state, pair)
+        engines = _pipeline_engines(name)
+        value = engines[0].moment(state)
+        if pipe.difference is not None:
+            value -= engines[1].moment(state)
+        return value, 0.0
+    run = replace(cfg, moment=pipe.t)
+    label = name if pair is None else f"{name}-{pair}"
+    est = simulate_moment([list(t) for t in _pad_terms(pipe.terms, pair)], state, run,
+                          label=label)
+    value, err = est.mean, est.stderr
+    if pipe.difference is not None:
+        est2 = simulate_moment([list(t) for t in _pad_terms(pipe.difference, pair)], state,
+                               run, label=label + "-minus")
+        value -= est2.mean
+        err = float(np.hypot(err, est2.stderr))
+    return value, err
+
+
+def _evaluate(name: str, state, cfg: ProtocolConfig, pair: str, cache: dict):
+    """(estimate, stderr, settings) of pipeline ``name`` on ``state`` or on
+    its ``pair``.  Prerequisites are recovered first and shared through
+    ``cache``; ``settings`` is the largest tensor rank of the procedure."""
+    key = (name, pair)
+    if key in cache:
+        return cache[key]
+    pipe = PIPELINES[name]
+    known_values, known_errs, settings = {}, {}, pipe.settings
+    for pre in pipe.prerequisites:
+        value, err, pre_settings = _evaluate(pre, state, cfg, pair, cache)
+        monomial = "I1*I1" if pre == "detsq" else pre
+        known_values[monomial] = value
+        known_errs[monomial] = err
+        settings = max(settings, pre_settings)
+    coeffs = calibrate(name)
+    rest, err = _measure(name, state, cfg, pair)
+    for nm, c in zip(pipe.dictionary, coeffs):
+        if nm != pipe.target and abs(c) > COEFF_NEGLIGIBLE:
+            rest -= c * eval_known(nm, known_values)
+            err += abs(c) * _monomial_error(nm, known_values, known_errs)
+    target_c = coeffs[pipe.dictionary.index(pipe.target)]
+    cache[key] = (float(rest / target_c), float(err / abs(target_c)), settings)
+    return cache[key]
 
 
 def recover_invariant(name: str, state, cfg: ProtocolConfig = None,
@@ -365,57 +414,20 @@ def recover_invariant(name: str, state, cfg: ProtocolConfig = None,
     if name not in PIPELINES:
         raise KeyError(f"unknown invariant pipeline {name!r}")
     state = twirl.as_bloch(state, parties=2)
-    pipe = PIPELINES[name]
-    cache = _cache if _cache is not None else {}
-    known_values, known_errs, settings = {}, {}, pipe.settings
-    for pre in pipe.prerequisites:
-        if pre not in cache:
-            cache[pre] = recover_invariant(pre, state, cfg, _cache=cache)
-        rep = cache[pre]
-        key = "I1*I1" if pre == "detsq" else pre
-        known_values[key] = rep.estimate
-        known_errs[key] = rep.stderr
-        settings = max(settings, rep.settings_used)
-
-    coeffs = calibrate(name)
-    if cfg is None:
-        engines = _pipeline_engines(name)
-        r_value = engines[0].moment(state)
-        if pipe.difference is not None:
-            r_value -= engines[1].moment(state)
-        r_err = 0.0
-    else:
-        run = ProtocolConfig(cfg.unitary_count, cfg.shots_per_setting, pipe.t,
-                             drift_rate=cfg.drift_rate,
-                             setting_change_cost=cfg.setting_change_cost,
-                             seed=cfg.seed)
-        est = simulate_moment([list(t) for t in pipe.terms], state, run, label=name)
-        r_value, r_err = est.mean, est.stderr
-        if pipe.difference is not None:
-            est2 = simulate_moment([list(t) for t in pipe.difference], state, run,
-                                   label=name + "-minus")
-            r_value -= est2.mean
-            r_err = float(np.hypot(r_err, est2.stderr))
-
-    estimate = _invert_calibration(pipe, coeffs, r_value, known_values)
-    target_c = coeffs[pipe.dictionary.index(pipe.target)]
-    err = r_err
-    for nm, c in zip(pipe.dictionary, coeffs):
-        if nm == pipe.target or nm == "1" or abs(c) <= COEFF_NEGLIGIBLE:
-            continue
-        err += abs(c) * _monomial_error(nm, known_values, known_errs)
-    stderr = err / abs(target_c)
+    estimate, stderr, settings = _evaluate(name, state, cfg, None,
+                                           {} if _cache is None else _cache)
     return RecoveryReport(
         invariant=name,
-        estimate=float(estimate),
-        stderr=float(stderr),
+        estimate=estimate,
+        stderr=stderr,
         reference=float(_reference_value(name, state)),
         settings_used=settings,
     )
 
 
 def _monomial_error(name: str, values: dict, errors: dict) -> float:
-    """First-order error propagation through a product of recovered values."""
+    """First-order error propagation through a product of recovered values;
+    zero for the constant and for monomials fixed without error."""
     if name in errors:
         return errors[name]
     gens = name.split("*")
@@ -491,8 +503,8 @@ def kempe_observables() -> dict:
 
 @lru_cache(maxsize=None)
 def _kempe_calibration() -> dict:
-    """Fit each Kempe observable's third moment over the three-qubit
-    dictionary with the exact engine."""
+    """Exact table and fitted third-moment expansion over the three-qubit
+    dictionary of each Kempe observable, keyed like ``kempe_observables``."""
     rng = substream(977, "kempe.calibration")
     from .states import random_bloch_record
 
@@ -500,19 +512,19 @@ def _kempe_calibration() -> dict:
     design = np.array([eval_three_qubit_monomials(THREE_QUBIT_MONOMIALS, s) for s in states])
     out = {}
     for key, obs in kempe_observables().items():
-        coeffs = twirl.twirl_coefficients(obs, 3)
-        y = coeffs.moments(states)
-        sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-        residual = float(np.max(np.abs(design @ sol - y)))
-        if residual > RECOVERY_TOL:
-            raise twirl.EngineError(f"Kempe calibration residual {residual:.2e} for {key}")
-        out[key] = sol
+        table = twirl.twirl_coefficients(obs, 3)
+        dec = twirl.fit(THREE_QUBIT_MONOMIALS, design, table.moments(states))
+        if dec.residual > RECOVERY_TOL:
+            raise twirl.EngineError(f"Kempe calibration residual {dec.residual:.2e} for {key}")
+        out[key] = (table, dec.coefficients)
     return out
 
 
 def _pad_terms(terms, pair: str):
     """Embed two-party product terms into three parties, identity on the
-    party missing from ``pair`` (one of AB, BC, AC)."""
+    party missing from ``pair`` (one of AB, BC, AC); ``None`` keeps them."""
+    if pair is None:
+        return terms
     slots = {"AB": (0, 1), "BC": (1, 2), "AC": (0, 2)}[pair]
     padded = []
     for term in terms:
@@ -533,41 +545,12 @@ def marginal_bloch(state: ThreeQubitState, pair: str) -> TwoQubitState:
     raise ValueError("pair must be AB, BC or AC")
 
 
-def _marginal_pipeline_value(name: str, pair: str, state: ThreeQubitState,
-                             cfg: ProtocolConfig, cache: dict):
-    """Run a two-qubit pipeline on one pair of a three-qubit state via
-    identity-padded observables; returns (estimate, stderr)."""
-    key = (name, pair)
-    if key in cache:
-        return cache[key]
-    pipe = PIPELINES[name]
-    known_values, known_errs = {}, {}
-    for pre in pipe.prerequisites:
-        v, e = _marginal_pipeline_value(pre, pair, state, cfg, cache)
-        known_values[pre] = v
-        known_errs[pre] = e
-    coeffs = calibrate(name)
-    padded = _pad_terms(pipe.terms, pair)
-    if cfg is None:
-        obs = TripartiteObservable([tuple(t) for t in padded])
-        r_value = twirl.twirl_coefficients(obs, pipe.t).moment(state)
-        r_err = 0.0
-    else:
-        run = ProtocolConfig(cfg.unitary_count, cfg.shots_per_setting, pipe.t,
-                             drift_rate=cfg.drift_rate,
-                             setting_change_cost=cfg.setting_change_cost,
-                             seed=cfg.seed)
-        est = simulate_moment([list(t) for t in padded], state, run,
-                              label=f"{name}-{pair}")
-        r_value, r_err = est.mean, est.stderr
-    estimate = _invert_calibration(pipe, coeffs, r_value, known_values)
-    target_c = coeffs[pipe.dictionary.index(pipe.target)]
-    err = r_err
-    for nm, c in zip(pipe.dictionary, coeffs):
-        if nm not in (pipe.target, "1") and abs(c) > COEFF_NEGLIGIBLE:
-            err += abs(c) * _monomial_error(nm, known_values, known_errs)
-    cache[key] = (float(estimate), float(err / abs(target_c)))
-    return cache[key]
+#: the pipeline and pair whose recovered value is each marginal monomial
+_MARGINAL_MONOMIALS = {
+    "a2": ("I4", "AB"), "b2": ("I7", "AB"), "g2": ("I7", "BC"),
+    "Tab2": ("I2", "AB"), "Tbc2": ("I2", "BC"), "Tca2": ("I2", "AC"),
+    "aTABb": ("I12", "AB"), "bTBCg": ("I12", "BC"), "gTCAa": ("I12", "AC"),
+}
 
 
 def recover_kempe(state, cfg: ProtocolConfig = None) -> RecoveryReport:
@@ -575,68 +558,44 @@ def recover_kempe(state, cfg: ProtocolConfig = None) -> RecoveryReport:
 
     The five rank-<=2 observables isolate ||W||^2, the three W-correlation
     cross terms and tr(TAB TBC TCA); all remaining ingredients are
-    recovered through identity-padded single-pair (rank-1) pipelines.
+    recovered through rank-1 two-qubit pipelines on single pairs.
     """
     state = twirl.as_bloch(state, parties=3)
     calib = _kempe_calibration()
     names = THREE_QUBIT_MONOMIALS
     target_idx = [names.index(t) for t in KEMPE_TARGETS]
 
-    # rank-1 marginal recoveries feeding the linear system and the final sum
-    pair_cache = {}
-    marg = {}
-    marg_err = {}
-    for label, pipes in (("AB", ("I4", "I7", "I2", "I12")),
-                         ("BC", ("I4", "I7", "I2", "I12")),
-                         ("AC", ("I4", "I7", "I2", "I12"))):
-        for p in pipes:
-            v, e = _marginal_pipeline_value(p, label, state, cfg, pair_cache)
-            marg[(p, label)] = v
-            marg_err[(p, label)] = e
-    known = {
-        "1": 1.0,
-        "a2": marg[("I4", "AB")], "b2": marg[("I7", "AB")], "g2": marg[("I7", "BC")],
-        "Tab2": marg[("I2", "AB")], "Tbc2": marg[("I2", "BC")], "Tca2": marg[("I2", "AC")],
-        "aTABb": marg[("I12", "AB")], "bTBCg": marg[("I12", "BC")],
-        "gTCAa": marg[("I12", "AC")],
-        "detAB": 0.0, "detBC": 0.0, "detCA": 0.0,
-    }
-    known_err = {
-        "a2": marg_err[("I4", "AB")], "b2": marg_err[("I7", "AB")],
-        "g2": marg_err[("I7", "BC")],
-        "Tab2": marg_err[("I2", "AB")], "Tbc2": marg_err[("I2", "BC")],
-        "Tca2": marg_err[("I2", "AC")],
-        "aTABb": marg_err[("I12", "AB")], "bTBCg": marg_err[("I12", "BC")],
-        "gTCAa": marg_err[("I12", "AC")],
-    }
+    # rank-1 pair recoveries feeding the linear system and the final sum
+    cache = {}
+    known = {"1": 1.0, "detAB": 0.0, "detBC": 0.0, "detCA": 0.0}
+    known_err = {}
+    for nm, (pipeline, pair) in _MARGINAL_MONOMIALS.items():
+        known[nm], known_err[nm], _ = _evaluate(pipeline, state, cfg, pair, cache)
 
     # moments of the five decoupling observables
     r_vals, r_errs = {}, {}
     for key, obs in kempe_observables().items():
         if cfg is None:
-            r_vals[key] = twirl.twirl_coefficients(obs, 3).moment(state)
+            r_vals[key] = calib[key][0].moment(state)
             r_errs[key] = 0.0
         else:
-            run = ProtocolConfig(cfg.unitary_count, cfg.shots_per_setting, 3,
-                                 drift_rate=cfg.drift_rate,
-                                 setting_change_cost=cfg.setting_change_cost,
-                                 seed=cfg.seed)
-            est = simulate_moment(list(obs.terms), state, run, label=f"kempe-{key}")
+            est = simulate_moment(list(obs.terms), state, replace(cfg, moment=3),
+                                  label=f"kempe-{key}")
             r_vals[key] = est.mean
             r_errs[key] = est.stderr
 
     # linear system Theta @ targets = R - known part
-    keys = tuple(kempe_observables())
-    theta = np.array([[calib[k][i] for i in target_idx] for k in keys])
+    keys = tuple(calib)
+    theta = np.array([[calib[k][1][i] for i in target_idx] for k in keys])
     rhs = np.empty(len(keys))
     rhs_err = np.empty(len(keys))
     for row, k in enumerate(keys):
         rest = r_vals[k]
         err = r_errs[k]
-        for nm, c in zip(names, calib[k]):
+        for nm, c in zip(names, calib[k][1]):
             if nm not in KEMPE_TARGETS:
                 rest -= c * known[nm]
-                err += abs(c) * known_err.get(nm, 0.0)
+                err += abs(c) * _monomial_error(nm, known, known_err)
         rhs[row] = rest
         rhs_err[row] = err
     targets, *_ = np.linalg.lstsq(theta, rhs, rcond=None)
@@ -650,8 +609,7 @@ def recover_kempe(state, cfg: ProtocolConfig = None) -> RecoveryReport:
         + target_vals["TTT"]
     ) / 8.0
     stderr = (
-        sum(known_err.get(k, 0.0) for k in
-            ("a2", "b2", "g2", "aTABb", "bTBCg", "gTCAa"))
+        sum(known_err[k] for k in ("a2", "b2", "g2", "aTABb", "bTBCg", "gTCAa"))
         + target_errs["TTT"]
     ) / 8.0
     ref = kempe_record(state)

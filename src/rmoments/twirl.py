@@ -272,7 +272,11 @@ class TwirlCoefficients:
 
     def __post_init__(self):
         w = _basis_w(self.t)
-        self._pauli = tuple(f @ w for f in self.factors)
+        # the collapsed first factor of a many-tuple table is the identity
+        self._pauli = tuple(
+            w if f.shape == (len(w), len(w)) and np.array_equal(f, np.eye(len(w))) else f @ w
+            for f in self.factors
+        )
 
     def dense(self, gauge: bool = False) -> np.ndarray:
         """Full coefficient table over S_t^parties: the minimum-norm table,
@@ -489,6 +493,14 @@ class MomentDecomposition:
         }
 
 
+def fit(names, design: np.ndarray, y: np.ndarray) -> MomentDecomposition:
+    """Least-squares expansion of ``y`` over the columns of ``design``, one
+    column per name, with the largest absolute residual of the fit."""
+    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
+    residual = float(np.max(np.abs(design @ sol - y)))
+    return MomentDecomposition(names=tuple(names), coefficients=sol, residual=residual)
+
+
 def _fit_states(count: int, seed: int, label: str) -> list:
     rng = substream(seed, "twirl.fit", label)
     return [random_bloch_record(2, rng) for _ in range(count)]
@@ -506,10 +518,7 @@ def decompose(obs, t: int, dictionary=None, seed: int = 20240, n_states: int = N
     n = n_states if n_states is not None else max(3 * len(names), 24)
     states = _fit_states(n, seed, f"decompose-t{t}-{len(names)}")
     design = np.array([eval_monomials(names, s) for s in states])
-    y = coeffs.moments(states)
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = float(np.max(np.abs(design @ sol - y)))
-    return MomentDecomposition(names=names, coefficients=sol, residual=residual)
+    return fit(names, design, coeffs.moments(states))
 
 
 def odd_part(obs, state, t: int) -> float:
@@ -531,10 +540,7 @@ def odd_fit(obs, t: int, seed: int = 31400, n_states: int = 12):
     coeffs = twirl_coefficients(obs, t) if not isinstance(obs, TwirlCoefficients) else obs
     states = _fit_states(n_states, seed, f"oddfit-t{t}")
     design = np.array([eval_monomials(names, s) for s in states])
-    y = np.array([odd_part(coeffs, s, t) for s in states])
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = float(np.max(np.abs(design @ sol - y)))
-    return MomentDecomposition(names=names, coefficients=sol, residual=residual)
+    return fit(names, design, np.array([odd_part(coeffs, s, t) for s in states]))
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,29 @@ def test_seeded_output_is_byte_identical(tmp_path):
     for path in (a, b):
         run(["state-gen", "--kind", "mixed", "--seed", "12", "--out", str(path)])
     assert a.read_bytes() == b.read_bytes()
+    # shot-mode recovery: a two-qubit pipeline with its CSV trace, and Kempe
+    state3 = tmp_path / "rho3.json"
+    run(["state-gen", "--kind", "mixed", "--qubits", "3", "--seed", "5", "--out", str(state3)])
+    for invariant, state, with_csv in (("I13", a, True), ("kempe", state3, False)):
+        outputs = []
+        for i in (0, 1):
+            out = tmp_path / f"{invariant}-{i}.json"
+            csv = tmp_path / f"{invariant}-{i}.csv"
+            cmd = ["simulate", "--state", str(state), "--invariant", invariant,
+                   "--unitaries", "40", "--shots", "20", "--seed", "9", "--out", str(out)]
+            assert run(cmd + (["--csv", str(csv)] if with_csv else [])) == 0
+            outputs.append(out.read_bytes() + (csv.read_bytes() if with_csv else b""))
+        assert outputs[0] == outputs[1], invariant
+    assert len((tmp_path / "I13-0.csv").read_text().splitlines()) == 1 + 40
+
+
+def test_simulate_rejects_moment_flag(tmp_path):
+    # every pipeline fixes its own moment order; there is no --t to set
+    state = tmp_path / "bell.json"
+    run(["state-gen", "--kind", "bell", "--out", str(state)])
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--state", str(state), "--invariant", "I2", "--t", "3"])
+    assert exc.value.code == 2
 
 
 def test_state_gen_accepted_everywhere(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rmoments import linalg
 from rmoments import symgroup as sg
+from rmoments import twirl
 from rmoments.paulis import PAULIS
 from rmoments.states import bell_state
 
@@ -79,30 +80,14 @@ def test_partial_transpose_rejects_bad_dims():
         linalg.partial_transpose(np.eye(4), 3)
 
 
-def test_min_norm_solve_identity(rng):
-    v = random_complex(rng, 6)
-    x, res = linalg.min_norm_solve(np.eye(6), v)
-    np.testing.assert_allclose(x, v)
-    assert res <= 1e-12
-
-
-def test_min_norm_solve_gram_example():
-    # 6x6 permutation Gram system whose minimum-norm solution carries
-    # opposite +-i/3 weights on the two 3-cycles
-    g = sg.gram_matrix(3, 2).entries
-    rhs = np.array([0, 0, 0, 0, 2j, -2j])
-    x, res = linalg.min_norm_solve(g, rhs)
-    assert res <= 1e-9
-    np.testing.assert_allclose(x, [0, 0, 0, 0, -1j / 3, 1j / 3], atol=1e-10)
-
-
-def test_min_norm_solution_orthogonal_to_kernel():
+def test_min_norm_solution_orthogonal_to_kernel(rng):
     g = sg.gram_matrix(3, 2).entries.astype(float)
     kernel = linalg.nullspace(g)
     assert kernel.shape[1] == 1
-    rhs = g @ np.array([0.3, -1.2, 0.5, 0.1, 0.9, -0.4])
-    x, res = linalg.min_norm_solve(g, rhs)
-    assert res <= 1e-9
+    factors = [random_complex(rng, (2, 2)) for _ in range(3)]
+    rhs = np.array([sg.trace_with_v(factors, p) for p in sg.enumerate_group(3)])
+    x = twirl.solve_factor_coefficients(factors)
+    assert np.max(np.abs(g @ x - rhs)) <= 1e-9
     # any kernel shift still solves; the min-norm one has no kernel component
     shifted = x + 0.7 * kernel[:, 0]
     assert np.max(np.abs(g @ shifted - rhs)) <= 1e-9

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from rmoments import protocol_sim as ps
+from rmoments import twirl
 from rmoments.invariants import kempe, makhlin
+from rmoments.observables import TripartiteObservable
 from rmoments.paulis import PAULIS
 from rmoments.states import (
     bell_state,
@@ -105,7 +107,27 @@ def test_kempe_exact_on_random_states():
     for i in range(10):
         st = bloch_from_density(random_state("mixed", 3, 4000 + i))
         rep = ps.recover_kempe(st)
-        assert rep.estimate == pytest.approx(kempe(st).kempe, abs=1e-8)
+        ref = kempe(st)
+        assert rep.estimate == pytest.approx(ref.kempe, abs=1e-8)
+        assert rep.details["w_norm_sq"] == pytest.approx(ref.w_norm_sq, abs=1e-8)
+        assert rep.details["trTTT"] == pytest.approx(ref.trTTT, abs=1e-8)
+
+
+@pytest.mark.parametrize("pair", ("AB", "BC", "AC"))
+def test_padded_moment_is_marginal_moment(pair):
+    # twirling the identity on the third party leaves the identity, so the
+    # exact pair path may run the two-party tables on the marginal
+    states = [bloch_from_density(random_state("mixed", 3, 5100 + i)) for i in range(4)]
+    for name in ("I2", "I4", "I7", "I12"):
+        pipe = ps.PIPELINES[name]
+        padded = twirl.twirl_coefficients(
+            TripartiteObservable(list(ps._pad_terms(pipe.terms, pair))), pipe.t
+        )
+        two_party = ps._pipeline_engines(name)[0]
+        for st in states:
+            assert padded.moment(st) == pytest.approx(
+                two_party.moment(ps.marginal_bloch(st, pair)), abs=1e-12
+            ), name
 
 
 def test_kempe_exact_on_maximally_mixed():
