@@ -183,22 +183,23 @@ def _cmd_simulate(args) -> int:
     else:
         if not isinstance(state, TwoQubitState):
             raise DimensionError("two-qubit invariant recovery needs a two-qubit state")
+        cache = {}
         rep = protocol_sim.recover_invariant(args.invariant, state,
-                                             None if args.exact else cfg)
-    if args.csv and pipe is not None:
-        _write_trace_csv(args.csv, pipe, state, cfg)
+                                             None if args.exact else cfg, _cache=cache)
+        if args.csv:
+            _write_trace_csv(args.csv, cache.get(("trace", args.invariant, None)))
     _emit(rep.as_dict(), args.out)
     return EXIT_OK
 
 
-def _write_trace_csv(path: str, pipe, state, cfg):
-    """Per-(frame, setting) estimates of the pipeline's primary observable."""
-    _, trace = protocol_sim.simulate_moment(
-        [list(t) for t in pipe.terms], state, cfg,
-        label=pipe.name, collect_trace=True,
-    )
+def _write_trace_csv(path: str, trace):
+    """Per-(frame, setting) estimates of the pipeline's primary observable
+    from the run behind the reported estimate; header only for an exact
+    recovery, which samples no shots."""
     with open(path, "w") as fh:
         fh.write("unitary_index,setting_index,estimate\n")
+        if trace is None:
+            return
         for k in range(trace.shape[0]):
             for j in range(trace.shape[1]):
                 fh.write(f"{k},{j},{trace[k, j]:.12g}\n")

@@ -3,14 +3,19 @@
 Estimates the moments by direct Haar sampling of local SU(2) rotations with
 exact per-sample expectation values (no shot noise), independent of the
 permutation-operator engine.  Used as the statistical cross-check of every
-exact result.
+exact result.  A sample acts on Bloch data: party p's rotation is the real
+4x4 block diag(1, R_p), R_p the 3x3 rotation of its quaternion, contracted
+with the Pauli coefficients that explicit traces read from the observable
+and state matrices.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .linalg import num_qubits
+from .linalg import kron_all, num_qubits
+from .paulis import PAULIS
 from .rng import substream
 
 
@@ -40,11 +45,15 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
     return haar_su2_batch(rng, 1)[0]
 
 
-def haar_su2_batch(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Stack of ``count`` independent Haar-random SU(2) matrices."""
+def _haar_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
     q = rng.standard_normal((count, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    return q
+
+
+def haar_su2_batch(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Stack of ``count`` independent Haar-random SU(2) matrices."""
+    a, b, c, d = _haar_quaternions(rng, count).T
     u = np.empty((count, 2, 2), dtype=complex)
     u[:, 0, 0] = a + 1j * b
     u[:, 0, 1] = c + 1j * d
@@ -53,15 +62,24 @@ def haar_su2_batch(rng: np.random.Generator, count: int) -> np.ndarray:
     return u
 
 
-def local_unitary_batch(rng: np.random.Generator, parties: int, count: int) -> np.ndarray:
-    """Stack of count local rotations U_1 x ... x U_n, each factor Haar."""
-    us = [haar_su2_batch(rng, count) for _ in range(parties)]
-    full = us[0]
-    for nxt in us[1:]:
-        full = np.einsum("kab,kcd->kacbd", full, nxt).reshape(
-            count, full.shape[1] * 2, full.shape[2] * 2
-        )
-    return full
+def haar_so3_batch(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Bloch rotations R[i, j] = tr(s_i U s_j U^dag)/2 of the matrices U that
+    ``haar_su2_batch`` draws from the same generator state: U = a + i v.s
+    with v = (d, c, b) gives R = (a^2 - |v|^2) 1 + 2 v v^T - 2a [v]_x."""
+    a, b, c, d = _haar_quaternions(rng, count).T
+    v = np.stack([d, c, b], axis=1)
+    cross = np.zeros((count, 3, 3))
+    cross[:, [0, 1, 2], [1, 2, 0]] = 2.0 * a[:, None] * v[:, [2, 0, 1]]
+    rot = 2.0 * v[:, :, None] * v[:, None, :] + cross - cross.transpose(0, 2, 1)
+    rot[:, [0, 1, 2], [0, 1, 2]] += (a * a - np.sum(v * v, axis=1))[:, None]
+    return rot
+
+
+def _pauli_coefficients(m: np.ndarray, parties: int) -> np.ndarray:
+    """tr(m s_mu) for every Pauli string mu, party 0 first, as a real
+    array of shape (4,) * parties."""
+    strings = np.array([kron_all(f) for f in product(PAULIS, repeat=parties)])
+    return np.real(np.einsum("sab,ba->s", strings, m)).reshape((4,) * parties)
 
 
 def mc_moment(observable: np.ndarray, rho: np.ndarray, t: int,
@@ -71,12 +89,21 @@ def mc_moment(observable: np.ndarray, rho: np.ndarray, t: int,
     Averages tr(rho U^dag O U)^t over i.i.d. local-unitary tuples; each
     sample uses the exact expectation value, so the only randomness is the
     Haar draw.  Deterministic per seed.
+
+    With o and r the Pauli coefficients of O and rho, a sample's value is
+    2^-n sum o_nu prod_p diag(1, R_p)[nu_p, mu_p] r_mu: per party one 4x4
+    real rotation in place of a dense conjugation, and no engine table.
     """
     observable = np.asarray(observable, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     parties = num_qubits(rho)
     if observable.shape != rho.shape:
         raise ValueError("observable and state dimensions differ")
+    o = _pauli_coefficients(observable, parties)
+    r = _pauli_coefficients(rho, parties)
+    # pair each party's (nu_p, mu_p) into one index of length 16
+    order = [ax for p in range(parties) for ax in (p, parties + p)]
+    w = (np.multiply.outer(o, r) / 2**parties).transpose(order).reshape(-1, 16)
     rng = substream(seed, "haar_mc.mc_moment", str(t), str(samples))
     values = np.empty(samples)
     # draw in fixed-size blocks so memory stays bounded at large sample counts
@@ -84,10 +111,15 @@ def mc_moment(observable: np.ndarray, rho: np.ndarray, t: int,
     done = 0
     while done < samples:
         n = min(block, samples - done)
-        u = local_unitary_batch(rng, parties, n)
-        rotated = np.einsum("kab,bc,kdc->kad", u, rho, u.conj())
-        vals = np.real(np.einsum("kad,da->k", rotated, observable))
-        values[done:done + n] = vals**t
+        rots = np.zeros((parties, n, 4, 4))
+        rots[:, :, 0, 0] = 1.0
+        rots[:, :, 1:, 1:] = [haar_so3_batch(rng, n) for _ in range(parties)]
+        rots = rots.reshape(parties, n, 16)
+        # contract the last party first, then peel the others off
+        acc = rots[-1] @ w.T
+        for p in range(parties - 2, -1, -1):
+            acc = np.einsum("kij,kj->ki", acc.reshape(n, -1, 16), rots[p])
+        values[done:done + n] = acc[:, 0] ** t
         done += n
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

@@ -5,7 +5,11 @@ A protocol run draws K random local frames; within each frame it cycles
 through the product terms of the observable (one measurement setting per
 term), estimates each term's expectation from M projective shots, sums the
 settings, raises to the t-th power and averages over frames.  Powering the
-per-frame mean introduces an O(1/M) bias, controlled by M.
+per-frame mean introduces an O(1/M) bias, controlled by M.  Frame drift
+turns each party about a fixed axis by the same angle theta, so a drifted
+copy's outcome probabilities are a trigonometric polynomial of degree 2n in
+theta/2: each frame gets a table of 2n + 1 coefficient columns per outcome,
+and every copy of a setting is sampled from that table in one batch.
 
 Recovery pipelines implement the known optimal observable per invariant.
 Calibration constants are never taken from an external table: each
@@ -22,7 +26,8 @@ identity, so the padded observable's moment is the marginal's moment.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from . import twirl
 from .haar_mc import MCEstimate, haar_su2_batch
 from .invariants import kempe as kempe_record
 from .invariants import makhlin
+from .linalg import kron_all
 from .observables import TripartiteObservable, dense_from_terms
 from .paulis import PAULIS
 from .rng import substream
@@ -94,15 +100,22 @@ def _eigs_and_projectors(factor: np.ndarray):
     return vals.real, projs
 
 
-def _drift_unitaries(axes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """exp(-i theta/2 n.sigma) per party, stacked over thetas."""
-    n_parties = axes.shape[0]
-    out = np.empty((len(thetas), n_parties, 2, 2), dtype=complex)
-    for p in range(n_parties):
-        nsig = sum(axes[p, j] * PAULIS[j + 1] for j in range(3))
-        c = np.cos(thetas / 2.0)
-        s = np.sin(thetas / 2.0)
-        out[:, p] = c[:, None, None] * np.eye(2) - 1j * s[:, None, None] * nsig
+def _drift_expansion(rho: np.ndarray, n_parties: int) -> np.ndarray:
+    """Operators M_e, e = 0..2n, with D rho D^dag = sum_e c^(2n-e) s^e M_e.
+
+    Party p drifts about the fixed axis sigma_(1 + p % 3) (x, y, z cycling),
+    so D = prod_p (c - i s sigma_(a_p)) = sum_S c^(n-|S|) (-i s)^|S| sigma_S
+    with c = cos(theta/2), s = sin(theta/2), and M_e sums
+    (-i)^|S| i^|S'| sigma_S rho sigma_S' over |S| + |S'| = e.
+    """
+    strings = []
+    for subset in product((0, 1), repeat=n_parties):
+        factors = [PAULIS[1 + p % 3] if bit else _I for p, bit in enumerate(subset)]
+        strings.append((sum(subset), kron_all(factors)))
+    out = np.zeros((2 * n_parties + 1,) + rho.shape, dtype=complex)
+    for left, sl in strings:
+        for right, sr in strings:
+            out[left + right] += (-1j) ** left * 1j ** right * (sl @ rho @ sr)
     return out
 
 
@@ -113,8 +126,10 @@ def simulate_moment(terms, rho, cfg: ProtocolConfig, label: str = "moment",
     Each term must be a product observable (one factor per party); terms
     are measured in separate settings within the same random frame.  With a
     nonzero drift rate the state is conjugated by a slowly advancing local
-    rotation, one increment per prepared copy; single-setting protocols
-    absorb the drift into the random frame, multi-setting ones do not.
+    rotation D(theta), one increment per prepared copy; single-setting
+    protocols absorb the drift into the random frame, multi-setting ones do
+    not.  With D rho D^dag = sum_e c^(2n-e) s^e M_e, the traces tr(P M_e)
+    per frame and outcome form the table behind every copy's probabilities.
     """
     if isinstance(rho, (TwoQubitState, ThreeQubitState)):
         rho = density_from_bloch(rho)
@@ -133,49 +148,33 @@ def simulate_moment(terms, rho, cfg: ProtocolConfig, label: str = "moment",
     k_count, m_shots, t = cfg.unitary_count, cfg.shots_per_setting, cfg.moment
     rng = substream(cfg.seed, "protocol.simulate", label)
 
-    # per-term eigen data
-    eig_vals, eig_projs = [], []
-    for term in terms:
-        vs, ps = zip(*(_eigs_and_projectors(np.asarray(f, dtype=complex)) for f in term))
-        eig_vals.append(vs)
-        eig_projs.append(ps)
-
     # random frames, one SU(2) per party per frame
     frames = np.stack([haar_su2_batch(rng, k_count) for _ in range(n_parties)], axis=1)
 
-    if cfg.drift_rate != 0.0:
-        # fixed drift axes, one per party (x, y, z cycling)
-        axes = np.eye(3)[[p % 3 for p in range(n_parties)]]
-
-    rho_t = rho.reshape((2,) * (2 * n_parties))
+    # the state, or with drift its expansion in the drift angle, as a stack
+    ops = rho[None] if cfg.drift_rate == 0.0 else _drift_expansion(rho, n_parties)
+    ops = ops.reshape((len(ops),) + (2,) * (2 * n_parties))
     estimates = np.empty((k_count, n_set))
     for j, term in enumerate(terms):
-        # joint outcome probabilities for every frame: rotate each party's
-        # projectors by U^dag and apply the Born rule
-        lam = eig_vals[j]
-        rot = []
-        for p in range(n_parties):
-            u = frames[:, p]
-            rot.append(np.einsum("kba,obc,kcd->koad", u.conj(), eig_projs[j][p], u))
+        # Born-rule traces for every frame: rotate each party's projectors
+        # by U^dag and contract with each operator of the stack
+        vals, projs = zip(*(_eigs_and_projectors(np.asarray(f, dtype=complex)) for f in term))
+        rot = [np.einsum("kba,obc,kcd->koad", frames[:, p].conj(), projs[p], frames[:, p])
+               for p in range(n_parties)]
         if n_parties == 2:
-            probs = np.real(np.einsum("xaji,xblk,ikjl->xab", rot[0], rot[1], rho_t))
-            lam_prod = np.multiply.outer(lam[0], lam[1]).reshape(-1)
+            table = np.einsum("xaji,xblk,eikjl->xabe", *rot, ops)
         else:
-            probs = np.real(np.einsum(
-                "xaji,xblk,xcnm,ikmjln->xabc", rot[0], rot[1], rot[2], rho_t
-            ))
-            lam_prod = np.multiply.outer(np.multiply.outer(lam[0], lam[1]), lam[2]).reshape(-1)
-        probs = probs.reshape(k_count, -1)
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
+            table = np.einsum("xaji,xblk,xcnm,eikmjln->xabce", *rot, ops)
+        table = np.real(table).reshape(k_count, -1, len(ops))
+        lam_prod = reduce(np.multiply.outer, vals).reshape(-1)
 
         if cfg.drift_rate == 0.0:
+            probs = np.clip(table[:, :, 0], 0.0, None)
+            probs /= probs.sum(axis=1, keepdims=True)
             counts = rng.multinomial(m_shots, probs)
             estimates[:, j] = counts @ lam_prod / m_shots
         else:
-            estimates[:, j] = _drifted_setting(
-                rng, rho, rot, lam_prod, cfg, axes, j, n_set, n_parties
-            )
+            estimates[:, j] = _drifted_setting(rng, table, lam_prod, cfg, j, n_set)
 
     per_frame = estimates.sum(axis=1) ** t
     mean = float(np.mean(per_frame))
@@ -186,35 +185,32 @@ def simulate_moment(terms, rho, cfg: ProtocolConfig, label: str = "moment",
     return est
 
 
-def _drifted_setting(rng, rho, rot, lam_prod, cfg, axes, setting, n_set, n_parties):
+def _drifted_setting(rng, table, lam_prod, cfg, setting, n_set):
     """Per-frame estimates of one setting when every prepared copy sees an
-    advanced drift rotation; outcomes sampled shot by shot."""
+    advanced drift rotation; outcomes sampled shot by shot.  A copy drifted
+    by theta in frame k has outcome probabilities
+    sum_e c^(2n-e) s^e table[k, :, e], c = cos(theta/2), s = sin(theta/2).
+    Frames go in blocks of at most 2^15 copies, one uniform draw per copy in
+    frame-then-shot order."""
     k_count, m = cfg.unitary_count, cfg.shots_per_setting
-    out = np.empty(k_count)
-    shot_idx = np.arange(m)
+    columns = table.shape[2]
     block = m + cfg.setting_change_cost
-    for k in range(k_count):
-        counters = (k * n_set + setting) * block + cfg.setting_change_cost + shot_idx
-        thetas = cfg.drift_rate * counters
-        d = _drift_unitaries(axes, thetas)
-        full = d[:, 0]
-        for p in range(1, n_parties):
-            full = np.einsum("sab,scd->sacbd", full, d[:, p]).reshape(
-                m, full.shape[1] * 2, -1
-            )
-        rho_s = np.einsum("sab,bc,sdc->sad", full, rho, full.conj())
-        rho_st = rho_s.reshape((m,) + (2,) * (2 * n_parties))
-        if n_parties == 2:
-            probs = np.real(np.einsum(
-                "aji,blk,sikjl->sab", rot[0][k], rot[1][k], rho_st
-            )).reshape(m, -1)
-        else:
-            probs = np.real(np.einsum(
-                "aji,blk,cnm,sikmjln->sabc", rot[0][k], rot[1][k], rot[2][k], rho_st
-            )).reshape(m, -1)
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
-        out[k] = lam_prod[_sample_outcomes(probs, rng.uniform(size=m))].mean()
+    shot_idx = np.arange(m)
+    step = max(1, (1 << 15) // m)
+    out = np.empty(k_count)
+    for k0 in range(0, k_count, step):
+        ks = np.arange(k0, min(k0 + step, k_count))
+        counters = ((ks[:, None] * n_set + setting) * block
+                    + cfg.setting_change_cost + shot_idx)
+        half = (cfg.drift_rate * counters).ravel() / 2.0
+        weights = np.vander(np.cos(half), columns) * np.vander(np.sin(half), columns,
+                                                               increasing=True)
+        probs = np.clip(weights.reshape(len(ks), m, columns) @ table[ks].transpose(0, 2, 1),
+                        0.0, None)
+        probs /= probs.sum(axis=2, keepdims=True)
+        draws = rng.uniform(size=len(ks) * m)
+        picked = _sample_outcomes(probs.reshape(len(ks) * m, -1), draws)
+        out[ks] = lam_prod[picked].reshape(len(ks), m).mean(axis=1)
     return out
 
 
@@ -349,10 +345,12 @@ def _reference_value(name: str, state: TwoQubitState) -> float:
     return getattr(rec, {"det": "I1", "hodge": "I14"}.get(name, name))
 
 
-def _measure(name: str, state, cfg: ProtocolConfig, pair: str):
+def _measure(name: str, state, cfg: ProtocolConfig, pair: str, cache: dict):
     """(value, stderr) of pipeline ``name``'s moment, combined over its
     difference observable: exact with ``cfg = None``, else finite-shot.
-    ``pair`` embeds the pipeline into that pair of a three-qubit state."""
+    ``pair`` embeds the pipeline into that pair of a three-qubit state.  A
+    finite-shot run keeps the per-(frame, setting) estimates of its primary
+    observable in ``cache`` under ``("trace", name, pair)``."""
     pipe = PIPELINES[name]
     if cfg is None:
         if pair is not None:
@@ -364,8 +362,9 @@ def _measure(name: str, state, cfg: ProtocolConfig, pair: str):
         return value, 0.0
     run = replace(cfg, moment=pipe.t)
     label = name if pair is None else f"{name}-{pair}"
-    est = simulate_moment([list(t) for t in _pad_terms(pipe.terms, pair)], state, run,
-                          label=label)
+    est, cache[("trace", name, pair)] = simulate_moment(
+        [list(t) for t in _pad_terms(pipe.terms, pair)], state, run,
+        label=label, collect_trace=True)
     value, err = est.mean, est.stderr
     if pipe.difference is not None:
         est2 = simulate_moment([list(t) for t in _pad_terms(pipe.difference, pair)], state,
@@ -391,7 +390,7 @@ def _evaluate(name: str, state, cfg: ProtocolConfig, pair: str, cache: dict):
         known_errs[monomial] = err
         settings = max(settings, pre_settings)
     coeffs = calibrate(name)
-    rest, err = _measure(name, state, cfg, pair)
+    rest, err = _measure(name, state, cfg, pair, cache)
     for nm, c in zip(pipe.dictionary, coeffs):
         if nm != pipe.target and abs(c) > COEFF_NEGLIGIBLE:
             rest -= c * eval_known(nm, known_values)

@@ -83,9 +83,33 @@ def test_simulate_exact_and_csv(tmp_path):
                 "--csv", str(csv), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["estimate"] == pytest.approx(-1.0, abs=1e-8)
+    # an exact recovery samples no shots: the CSV holds the header only
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "unitary_index,setting_index,estimate"
-    assert len(lines) == 1 + 50 * 3
+    assert len(lines) == 1
+
+
+@pytest.mark.parametrize("invariant, drift", (("det", "0"), ("I5", "0"), ("hodge", "0.001")))
+def test_simulate_csv_is_the_reported_run(tmp_path, invariant, drift):
+    from rmoments import protocol_sim as ps
+    from rmoments.states import state_from_json
+
+    state = tmp_path / "rho.json"
+    run(["state-gen", "--kind", "mixed", "--seed", "6", "--out", str(state)])
+    csv = tmp_path / "trace.csv"
+    assert run(["simulate", "--state", str(state), "--invariant", invariant,
+                "--unitaries", "30", "--shots", "25", "--seed", "4", "--drift", drift,
+                "--drift-cost", "10", "--csv", str(csv), "--out", str(tmp_path / "rep.json")]) == 0
+    pipe = ps.PIPELINES[invariant]
+    cfg = ps.ProtocolConfig(30, 25, pipe.t, drift_rate=float(drift), setting_change_cost=10,
+                            seed=4)
+    _, trace = ps.simulate_moment([list(t) for t in pipe.terms],
+                                  state_from_json(json.loads(state.read_text())), cfg,
+                                  label=pipe.name, collect_trace=True)
+    want = "unitary_index,setting_index,estimate\n" + "".join(
+        f"{k},{j},{trace[k, j]:.12g}\n" for k in range(trace.shape[0])
+        for j in range(trace.shape[1]))
+    assert csv.read_bytes() == want.encode()
 
 
 def test_simulate_kempe_exact(tmp_path):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from rmoments import twirl
-from rmoments.haar_mc import haar_su2_batch, mc_moment
+from rmoments.haar_mc import haar_so3_batch, haar_su2_batch, mc_moment
 from rmoments.linalg import kron
 from rmoments.observables import random_rank_observable
 from rmoments.paulis import PAULIS
+from rmoments.rng import substream
 from rmoments.states import bell_state, bloch_from_density, random_state
 
 I, X, Y, Z = PAULIS
@@ -91,3 +92,52 @@ def test_mc_stderr_scaling():
 def test_mc_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         mc_moment(np.eye(8, dtype=complex), bell_state(), 2, 10, seed=0)
+
+
+def test_so3_batch_is_the_adjoint_of_su2_batch():
+    us = haar_su2_batch(np.random.default_rng(31), 2000)
+    rots = haar_so3_batch(np.random.default_rng(31), 2000)
+    sig = PAULIS[1:]
+    ref = np.real(np.einsum("iab,kbc,jcd,kad->kij", sig, us, sig, us.conj())) / 2.0
+    assert np.max(np.abs(rots - ref)) <= 1e-14
+
+
+def _local_unitary_batch(rng, parties, count):
+    us = [haar_su2_batch(rng, count) for _ in range(parties)]
+    full = us[0]
+    for nxt in us[1:]:
+        full = np.einsum("kab,kcd->kacbd", full, nxt).reshape(
+            count, full.shape[1] * 2, full.shape[2] * 2
+        )
+    return full
+
+
+def _dense_mc_moment(observable, rho, t, samples, seed):
+    """Reference: the same Haar draws, each sample a dense U rho U^dag."""
+    parties = int(np.log2(rho.shape[0]))
+    rng = substream(seed, "haar_mc.mc_moment", str(t), str(samples))
+    values = np.empty(samples)
+    done = 0
+    while done < samples:
+        n = min(20000, samples - done)
+        u = _local_unitary_batch(rng, parties, n)
+        rotated = np.einsum("kab,bc,kdc->kad", u, rho, u.conj())
+        values[done:done + n] = np.real(np.einsum("kad,da->k", rotated, observable)) ** t
+        done += n
+    return np.mean(values), np.std(values, ddof=1) / np.sqrt(samples)
+
+
+@pytest.mark.parametrize("qubits", (2, 3))
+def test_bloch_mc_matches_dense_loop(qubits):
+    gen = np.random.default_rng(70 + qubits)
+    dim = 2**qubits
+    for seed in (0, 5, 23):
+        g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+        ob = (g + g.conj().T) / 2.0
+        rho = random_state("mixed" if seed % 2 else "pure", qubits, 40 + seed)
+        for t in range(1, 6):
+            samples = 25_000 if t == 3 else 3000
+            est = mc_moment(ob, rho, t, samples, seed)
+            mean, stderr = _dense_mc_moment(ob, rho, t, samples, seed)
+            assert est.mean == pytest.approx(mean, rel=1e-12), (seed, t)
+            assert est.stderr == pytest.approx(stderr, rel=1e-12), (seed, t)

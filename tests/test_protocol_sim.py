@@ -1,11 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from rmoments import protocol_sim as ps
 from rmoments import twirl
+from rmoments.haar_mc import haar_su2_batch
 from rmoments.invariants import kempe, makhlin
+from rmoments.linalg import kron_all
 from rmoments.observables import TripartiteObservable
 from rmoments.paulis import PAULIS
+from rmoments.rng import substream
 from rmoments.states import (
     bell_state,
     bloch_from_density,
@@ -198,3 +203,65 @@ def test_sampled_outcome_in_range_when_cdf_ends_below_one():
     np.testing.assert_array_equal(
         ps._sample_outcomes(probs, draws), (draws[:, None] > cdf).sum(axis=1)
     )
+
+
+def _drift_unitaries(n_parties, thetas):
+    """exp(-i theta/2 sigma_(1 + p % 3)) per party, stacked over thetas."""
+    out = np.empty((len(thetas), n_parties, 2, 2), dtype=complex)
+    c, s = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
+    for p in range(n_parties):
+        out[:, p] = c[:, None, None] * I - 1j * s[:, None, None] * PAULIS[1 + p % 3]
+    return out
+
+
+def _dense_drifted_trace(terms, rho, cfg, label):
+    """Reference: the same frames and draws, each copy's outcome
+    probabilities from a dense D rho D^dag, one frame at a time."""
+    n = len(terms[0])
+    rng = substream(cfg.seed, "protocol.simulate", label)
+    frames = np.stack([haar_su2_batch(rng, cfg.unitary_count) for _ in range(n)], axis=1)
+    m, cost = cfg.shots_per_setting, cfg.setting_change_cost
+    trace = np.empty((cfg.unitary_count, len(terms)))
+    for j, term in enumerate(terms):
+        eig = [np.linalg.eigh(np.asarray(f, dtype=complex)) for f in term]
+        lam_prod = kron_all([np.diag(v) for v, _ in eig]).diagonal().real
+        rot = [np.einsum("kba,bo,co,kcd->koad", frames[:, p].conj(), vecs, vecs.conj(),
+                         frames[:, p]) for p, (_, vecs) in enumerate(eig)]
+        for k in range(cfg.unitary_count):
+            ticks = (k * len(terms) + j) * (m + cost) + cost + np.arange(m)
+            d = _drift_unitaries(n, cfg.drift_rate * ticks)
+            full = np.array([kron_all(list(dk)) for dk in d])
+            rho_s = np.einsum("sab,bc,sdc->sad", full, rho, full.conj())
+            proj = np.array([kron_all(list(f)) for f in product(*(r[k] for r in rot))])
+            probs = np.clip(np.real(np.einsum("oji,sij->so", proj, rho_s)), 0.0, None)
+            probs /= probs.sum(axis=1, keepdims=True)
+            trace[k, j] = lam_prod[ps._sample_outcomes(probs, rng.uniform(size=m))].mean()
+    return trace
+
+
+@pytest.mark.parametrize("terms, rho", [
+    (ODET_TERMS, random_state("mixed", 2, 61)),
+    ([[3 * Z, Z]], random_state("pure", 2, 62)),
+    ([[I + Z, Z]], random_state("mixed", 2, 63)),
+    ([[X, Z, Y], [I + Z, X, Z], [Z, Z, Z]], random_state("mixed", 3, 64)),
+])
+def test_drifted_trace_matches_dense_per_copy_loop(terms, rho):
+    cfg = ps.ProtocolConfig(24, 15, 3, drift_rate=0.02, setting_change_cost=40, seed=8)
+    _, trace = ps.simulate_moment(terms, rho, cfg, "drift-ref", collect_trace=True)
+    np.testing.assert_array_equal(trace, _dense_drifted_trace(terms, rho, cfg, "drift-ref"))
+
+
+@pytest.mark.parametrize("qubits", (2, 3))
+def test_drift_expansion_matches_dense_born_rule(qubits):
+    rho = random_state("mixed", qubits, 70 + qubits)
+    ops = ps._drift_expansion(rho, qubits)
+    thetas = np.random.default_rng(qubits).uniform(-7.0, 7.0, 50)
+    d = [kron_all(list(dk)) for dk in _drift_unitaries(qubits, thetas)]
+    us = [haar_su2_batch(np.random.default_rng(qubits), len(thetas)) for _ in range(qubits)]
+    orders = np.arange(2 * qubits + 1)
+    for i, theta in enumerate(thetas):
+        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        drifted = np.tensordot(c ** orders[::-1] * s ** orders, ops, axes=1)
+        u = kron_all([ui[i] for ui in us])
+        born = np.real(np.diag(u @ d[i] @ rho @ d[i].conj().T @ u.conj().T))
+        assert np.max(np.abs(np.real(np.diag(u @ drifted @ u.conj().T)) - born)) <= 1e-13
