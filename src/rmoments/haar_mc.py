@@ -10,12 +10,11 @@ and state matrices.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .linalg import kron_all, num_qubits
-from .paulis import PAULIS
+from .linalg import num_qubits
+from .paulis import pauli_strings
 from .rng import substream
 
 
@@ -67,19 +66,27 @@ def haar_so3_batch(rng: np.random.Generator, count: int) -> np.ndarray:
     ``haar_su2_batch`` draws from the same generator state: U = a + i v.s
     with v = (d, c, b) gives R = (a^2 - |v|^2) 1 + 2 v v^T - 2a [v]_x."""
     a, b, c, d = _haar_quaternions(rng, count).T
-    v = np.stack([d, c, b], axis=1)
-    cross = np.zeros((count, 3, 3))
-    cross[:, [0, 1, 2], [1, 2, 0]] = 2.0 * a[:, None] * v[:, [2, 0, 1]]
-    rot = 2.0 * v[:, :, None] * v[:, None, :] + cross - cross.transpose(0, 2, 1)
-    rot[:, [0, 1, 2], [0, 1, 2]] += (a * a - np.sum(v * v, axis=1))[:, None]
-    return rot
+    a2, b2, c2, d2 = 2.0 * a, 2.0 * b, 2.0 * c, 2.0 * d
+    diag = a * a - (d * d + c * c + b * b)
+    return np.stack([d2 * d + diag, d2 * c + a2 * b, d2 * b - a2 * c,
+                     c2 * d - a2 * b, c2 * c + diag, c2 * b + a2 * d,
+                     b2 * d + a2 * c, b2 * c - a2 * d, b2 * b + diag], axis=1).reshape(count, 3, 3)
+
+
+def haar_bloch_blocks(rng: np.random.Generator, parties: int, count: int) -> np.ndarray:
+    """Real 4x4 blocks diag(1, R) of ``count`` Haar-random Bloch rotations
+    per party, party 0 drawn first, shape (parties, count, 4, 4)."""
+    out = np.zeros((parties, count, 4, 4))
+    out[:, :, 0, 0] = 1.0
+    for p in range(parties):
+        out[p, :, 1:, 1:] = haar_so3_batch(rng, count)
+    return out
 
 
 def _pauli_coefficients(m: np.ndarray, parties: int) -> np.ndarray:
     """tr(m s_mu) for every Pauli string mu, party 0 first, as a real
     array of shape (4,) * parties."""
-    strings = np.array([kron_all(f) for f in product(PAULIS, repeat=parties)])
-    return np.real(np.einsum("sab,ba->s", strings, m)).reshape((4,) * parties)
+    return np.real(np.einsum("sab,ba->s", pauli_strings(parties), m)).reshape((4,) * parties)
 
 
 def mc_moment(observable: np.ndarray, rho: np.ndarray, t: int,
@@ -111,10 +118,7 @@ def mc_moment(observable: np.ndarray, rho: np.ndarray, t: int,
     done = 0
     while done < samples:
         n = min(block, samples - done)
-        rots = np.zeros((parties, n, 4, 4))
-        rots[:, :, 0, 0] = 1.0
-        rots[:, :, 1:, 1:] = [haar_so3_batch(rng, n) for _ in range(parties)]
-        rots = rots.reshape(parties, n, 16)
+        rots = haar_bloch_blocks(rng, parties, n).reshape(parties, n, 16)
         # contract the last party first, then peel the others off
         acc = rots[-1] @ w.T
         for p in range(parties - 2, -1, -1):

@@ -45,7 +45,7 @@ class TripartiteObservable:
     """Three-party observable as a list of weighted product terms.
 
     Factor lists are not required to be orthonormal: tensor rank is not
-    computed for three parties, the term count is simply recorded.
+    computed for three parties.
     """
 
     terms: list  # list of (A, B, C) Hermitian 2x2 triples
@@ -55,10 +55,6 @@ class TripartiteObservable:
         if self.weights is None:
             self.weights = np.ones(len(self.terms))
         self.weights = np.asarray(self.weights, dtype=float)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def matrix(self) -> np.ndarray:
         out = np.zeros((8, 8), dtype=complex)

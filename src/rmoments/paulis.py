@@ -3,7 +3,12 @@
 Index convention throughout the package: 0 = identity, 1 = x, 2 = y, 3 = z.
 """
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
+
+from .linalg import kron_all
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -31,3 +36,11 @@ for _a in range(4):
                 break
 del _a, _b, _c, _prod, _coeff
 
+
+@lru_cache(maxsize=None)
+def pauli_strings(n: int) -> np.ndarray:
+    """The 4^n Kronecker products s_mu1 x ... x s_mun, party 0 first, as a
+    read-only stack of shape (4^n, 2^n, 2^n)."""
+    out = np.array([kron_all(f) for f in product(PAULIS, repeat=n)])
+    out.flags.writeable = False
+    return out

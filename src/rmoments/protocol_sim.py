@@ -26,20 +26,20 @@ identity, so the padded observable's moment is the marginal's moment.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from . import twirl
-from .haar_mc import MCEstimate, haar_su2_batch
+from .haar_mc import MCEstimate, haar_bloch_blocks
 from .invariants import kempe as kempe_record
 from .invariants import makhlin
 from .linalg import kron_all
 from .observables import TripartiteObservable, dense_from_terms
-from .paulis import PAULIS
+from .paulis import PAULIS, pauli_strings
 from .rng import substream
-from .states import ThreeQubitState, TwoQubitState, density_from_bloch
+from .states import ThreeQubitState, TwoQubitState, pauli_transfer, transfer_from_bloch
 
 _I, _X, _Y, _Z = PAULIS
 RECOVERY_TOL = 1e-8
@@ -94,12 +94,6 @@ class RecoveryReport:
 # Finite-shot moment estimation
 # ---------------------------------------------------------------------------
 
-def _eigs_and_projectors(factor: np.ndarray):
-    vals, vecs = np.linalg.eigh(factor)
-    projs = np.einsum("ao,bo->oab", vecs, vecs.conj())
-    return vals.real, projs
-
-
 def _drift_expansion(rho: np.ndarray, n_parties: int) -> np.ndarray:
     """Operators M_e, e = 0..2n, with D rho D^dag = sum_e c^(2n-e) s^e M_e.
 
@@ -131,42 +125,44 @@ def simulate_moment(terms, rho, cfg: ProtocolConfig, label: str = "moment",
     not.  With D rho D^dag = sum_e c^(2n-e) s^e M_e, the traces tr(P M_e)
     per frame and outcome form the table behind every copy's probabilities.
     """
-    if isinstance(rho, (TwoQubitState, ThreeQubitState)):
-        rho = density_from_bloch(rho)
-    rho = np.asarray(rho, dtype=complex)
     n_parties = len(terms[0])
     for term in terms:
         if len(term) != n_parties or any(np.shape(f) != (2, 2) for f in term):
             raise ValueError(
                 "each setting must be a product term: one 2x2 factor per party"
             )
-    if rho.shape[0] != 2**n_parties:
-        raise ValueError(
-            f"state dimension {rho.shape[0]} does not match {n_parties} parties"
-        )
+    if isinstance(rho, (TwoQubitState, ThreeQubitState)):
+        r = transfer_from_bloch(rho)
+    else:
+        r = pauli_transfer(rho)
+    if r.ndim != n_parties:
+        raise ValueError(f"{r.ndim}-qubit state does not match {n_parties} parties")
     n_set = len(terms)
     k_count, m_shots, t = cfg.unitary_count, cfg.shots_per_setting, cfg.moment
     rng = substream(cfg.seed, "protocol.simulate", label)
 
-    # random frames, one SU(2) per party per frame
-    frames = np.stack([haar_su2_batch(rng, k_count) for _ in range(n_parties)], axis=1)
+    # random frames: per party and frame the Bloch rotation diag(1, R) of U
+    frames = haar_bloch_blocks(rng, n_parties, k_count)
 
-    # the state, or with drift its expansion in the drift angle, as a stack
-    ops = rho[None] if cfg.drift_rate == 0.0 else _drift_expansion(rho, n_parties)
-    ops = ops.reshape((len(ops),) + (2,) * (2 * n_parties))
+    # the state's Pauli tensor, or with drift those of its expansion in the
+    # drift angle
+    ops = r[None]
+    if cfg.drift_rate != 0.0:
+        rho = np.tensordot(r.reshape(-1), pauli_strings(n_parties), 1) / 2**n_parties
+        ops = np.array([pauli_transfer(m) for m in _drift_expansion(rho, n_parties)])
     estimates = np.empty((k_count, n_set))
     for j, term in enumerate(terms):
-        # Born-rule traces for every frame: rotate each party's projectors
-        # by U^dag and contract with each operator of the stack
-        vals, projs = zip(*(_eigs_and_projectors(np.asarray(f, dtype=complex)) for f in term))
-        rot = [np.einsum("kba,obc,kcd->koad", frames[:, p].conj(), projs[p], frames[:, p])
-               for p in range(n_parties)]
-        if n_parties == 2:
-            table = np.einsum("xaji,xblk,eikjl->xabe", *rot, ops)
-        else:
-            table = np.einsum("xaji,xblk,xcnm,eikmjln->xabce", *rot, ops)
-        table = np.real(table).reshape(k_count, -1, len(ops))
-        lam_prod = reduce(np.multiply.outer, vals).reshape(-1)
+        # Born-rule traces for every frame: U^dag P_o U has the Pauli
+        # coefficients c_o diag(1, R) when P_o has c_o, and their product
+        # over parties contracts with each operator's Pauli tensor
+        joint, lam_prod = np.ones((k_count, 1, 1)), np.ones(1)
+        for factor, block in zip(term, frames):
+            vals, vecs = np.linalg.eigh(np.asarray(factor, dtype=complex))
+            c = np.real(np.einsum("ao,sab,bo->os", vecs.conj(), PAULIS, vecs)) @ block
+            joint = (joint[:, :, None, :, None] * c[:, None, :, None, :]).reshape(
+                k_count, 2 * joint.shape[1], -1)
+            lam_prod = np.multiply.outer(lam_prod, vals).ravel()
+        table = joint @ ops.reshape(len(ops), -1).T / 2**n_parties
 
         if cfg.drift_rate == 0.0:
             probs = np.clip(table[:, :, 0], 0.0, None)
@@ -338,13 +334,6 @@ def calibrate(name: str) -> tuple:
 COEFF_NEGLIGIBLE = 1e-9
 
 
-def _reference_value(name: str, state: TwoQubitState) -> float:
-    rec = makhlin(state)
-    if name == "detsq":
-        return rec.I1**2
-    return getattr(rec, {"det": "I1", "hodge": "I14"}.get(name, name))
-
-
 def _measure(name: str, state, cfg: ProtocolConfig, pair: str, cache: dict):
     """(value, stderr) of pipeline ``name``'s moment, combined over its
     difference observable: exact with ``cfg = None``, else finite-shot.
@@ -408,18 +397,23 @@ def recover_invariant(name: str, state, cfg: ProtocolConfig = None,
     the pipeline algebra from statistical noise; otherwise every moment
     (including prerequisite ones) is estimated by the finite-shot protocol.
     ``settings_used`` reports the largest tensor rank the full procedure
-    cycles through.
+    cycles through.  ``_cache`` shares prerequisites and the reference
+    Makhlin record between calls on the same state.
     """
     if name not in PIPELINES:
         raise KeyError(f"unknown invariant pipeline {name!r}")
     state = twirl.as_bloch(state, parties=2)
-    estimate, stderr, settings = _evaluate(name, state, cfg, None,
-                                           {} if _cache is None else _cache)
+    cache = {} if _cache is None else _cache
+    estimate, stderr, settings = _evaluate(name, state, cfg, None, cache)
+    if "makhlin" not in cache:
+        cache["makhlin"] = makhlin(state)
+    rec = cache["makhlin"]
     return RecoveryReport(
         invariant=name,
         estimate=estimate,
         stderr=stderr,
-        reference=float(_reference_value(name, state)),
+        reference=float(rec.I1**2 if name == "detsq"
+                        else getattr(rec, {"det": "I1", "hodge": "I14"}.get(name, name))),
         settings_used=settings,
     )
 
@@ -442,6 +436,7 @@ def _monomial_error(name: str, values: dict, errors: dict) -> float:
 
 def recover_all(state, cfg: ProtocolConfig = None) -> dict:
     """Recover every Table row, sharing prerequisite recoveries."""
+    state = twirl.as_bloch(state, parties=2)
     cache = {}
     return {name: recover_invariant(name, state, cfg, _cache=cache) for name in TABLE_ROWS}
 

@@ -69,10 +69,6 @@ class Permutation:
             out.append(tuple(cyc))
         return tuple(out)
 
-    def cycle_type(self) -> tuple:
-        """Nontrivial cycle lengths, sorted ascending."""
-        return tuple(sorted(len(c) for c in self.cycles() if len(c) > 1))
-
     def num_cycles(self) -> int:
         """Number of cycles including fixed points."""
         return len(self.cycles())
@@ -211,7 +207,9 @@ _GRAM_ROW_BLOCK = 64
 
 
 def gram_block(rows, cols, d: int) -> np.ndarray:
-    """Integer block (d^{#cycles(a o b)})_{a in rows, b in cols}.
+    """Integer block (d^{#cycles(a o b)})_{a in rows, b in cols}, in the
+    smallest signed integer type that holds d^t: convert it before any
+    arithmetic that could leave that range.
 
     The compositions are built by array indexing; each point of a
     composition is labelled with the smallest point of its cycle by
@@ -223,7 +221,7 @@ def gram_block(rows, cols, d: int) -> np.ndarray:
     right = np.array([p.images for p in cols], dtype=np.intp)
     t = left.shape[1]
     points = np.arange(t)
-    out = np.empty((len(left), len(right)), dtype=np.int64)
+    out = np.empty((len(left), len(right)), dtype=np.min_scalar_type(-d ** t))
     for start in range(0, len(left), _GRAM_ROW_BLOCK):
         comp = np.take(left[start:start + _GRAM_ROW_BLOCK], right, axis=1)
         label = np.broadcast_to(points, comp.shape)

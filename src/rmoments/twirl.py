@@ -20,7 +20,9 @@ coefficient table on B x B.  It has k = min(n_tuples, |B|) rows: with few
 product-term index tuples n, P holds w_n x_n and Q holds y_n; otherwise
 P = 1 and Q = sum_n w_n x_n y_n^T.  The moment is then the one contraction
 <P W_B, R^xt (Q W_B)> / 4^t with R the state's transfer matrix.
-Three-party tables (t <= 3) keep one factor triple per index tuple.
+Three-party tables (t <= 3) keep one factor triple per index tuple.  The
+rows of W_B are sparse, so their contraction with R3^xt reduces, once per
+table, to a short weighted sum of products of t entries of R3.
 
 Tables over all of S_t are derived from the basis solution on request.
 Embedding x_B into S_t (zeros off B) gives one solution of the full Gram
@@ -32,7 +34,7 @@ vanishes.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -98,9 +100,13 @@ def _w_rows(perms, t: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _basis_w(t: int) -> np.ndarray:
-    """Pauli-trace rows of the qubit commutant basis."""
-    return _w_rows(sg.commutant_basis(t, 2), t)
+def _basis_w(t: int) -> tuple:
+    """(codes, rows): the Pauli-trace rows of the qubit commutant basis on
+    the 4^(t-1) Pauli strings whose product is proportional to the identity,
+    the support of every row."""
+    w = _w_rows(sg.commutant_basis(t, 2), t)
+    codes = np.flatnonzero(np.any(w != 0, axis=0))
+    return codes, np.ascontiguousarray(w[:, codes])
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +274,15 @@ class TwirlCoefficients:
     parties: int
     factors: tuple
     diagnostics: EngineDiagnostics
-    _pauli: tuple = field(init=False, repr=False)   # factors @ W_B
+    _pauli: tuple = field(init=False, repr=False)   # factors @ W_B, full length
 
     def __post_init__(self):
-        w = _basis_w(self.t)
-        # the collapsed first factor of a many-tuple table is the identity
-        self._pauli = tuple(
-            w if f.shape == (len(w), len(w)) and np.array_equal(f, np.eye(len(w))) else f @ w
-            for f in self.factors
-        )
+        codes, w = _basis_w(self.t)
+        self._pauli = tuple(np.zeros((len(f), 4**self.t), dtype=complex) for f in self.factors)
+        for f, full in zip(self.factors, self._pauli):
+            # the collapsed first factor of a many-tuple table is the identity
+            identity = f.shape == (len(w), len(w)) and np.array_equal(f, np.eye(len(w)))
+            full[:, codes] = w if identity else f @ w
 
     def dense(self, gauge: bool = False) -> np.ndarray:
         """Full coefficient table over S_t^parties: the minimum-norm table,
@@ -296,13 +302,29 @@ class TwirlCoefficients:
             pw, qw = self._pauli
             val = np.einsum("kc,kc->", pw, _apply_transfer(qw, r, t)) / 4**t
         else:
-            val = _triple_contract(*self._pauli, r, t)
+            idx, weights = self._triple_terms
+            val = complex(*(weights @ np.prod(r.reshape(-1)[idx], axis=0)))
         if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
             raise EngineError(f"moment has imaginary residue {val.imag:.2e}")
         return float(val.real)
 
     def moments(self, states) -> np.ndarray:
         return np.array([self.moment(s) for s in states])
+
+    @cached_property
+    def _triple_terms(self):
+        """(idx, weights) with sum_k <wx_k x wy_k x wz_k, R3^xt> / 8^t =
+        weights @ prod_s R3.flat[idx[s]] (real and imaginary row): the terms
+        on the support of W_B, merged over reorderings of the t copies."""
+        sup, t = _basis_w(self.t)[0], self.t
+        coef = np.einsum("ka,kb,kc->abc", *(w[:, sup] for w in self._pauli)).ravel() / 8**t
+        # flat R3 index (a_s, b_s, c_s) of copy s for every support triple
+        d = np.array(np.unravel_index(sup, (4,) * t))
+        idx = 16 * d[:, :, None, None] + 4 * d[:, None, :, None] + d[:, None, None, :]
+        key = np.ravel_multi_index(np.sort(idx.reshape(t, -1)[:, coef != 0], axis=0), (64,) * t)
+        uniq, inv = np.unique(key, return_inverse=True)
+        weights = [np.bincount(inv, part[coef != 0], len(uniq)) for part in (coef.real, coef.imag)]
+        return np.array(np.unravel_index(uniq, (64,) * t)), np.array(weights)
 
 
 def _apply_transfer(w: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:
@@ -313,27 +335,6 @@ def _apply_transfer(w: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:
     for k in range(t):
         z = r @ z.reshape(n * 4**k, 4, -1)
     return z.reshape(n, -1).view(complex)
-
-
-def _triple_contract(wx, wy, wz, r3: np.ndarray, t: int) -> complex:
-    """sum_k <wx_k x wy_k x wz_k, R3^xt> / 8^t for a three-party
-    transfer tensor r3 of shape (4, 4, 4)."""
-    n = wx.shape[0]
-    rflat = r3.reshape(4, 16)
-    z = wx.reshape((n,) + (4,) * t).astype(complex)
-    for k in range(t):
-        z = np.moveaxis(np.moveaxis(z, 1 + k, -1) @ rflat, -1, 1 + k)
-    # axis 1+k now carries the joint (nu_k, lambda_k) index of size 16
-    z = z.reshape((n,) + (4, 4) * t)
-    wyr = wy.reshape((n,) + (4,) * t)
-    wzr = wz.reshape((n,) + (4,) * t)
-    if t == 1:
-        return np.einsum("nab,na,nb->", z, wyr, wzr) / 8**t
-    if t == 2:
-        return np.einsum("nabcd,nac,nbd->", z, wyr, wzr) / 8**t
-    if t == 3:
-        return np.einsum("nabcdef,nace,nbdf->", z, wyr, wzr) / 8**t
-    raise ValueError("three-party moments support t <= 3")
 
 
 def as_bloch(state, parties: int = 2):
@@ -564,10 +565,6 @@ _SYM_T3_B = np.array([
     [4, -24, 16, 12, 24, -48, 16],
 ]) / 144.0
 
-# multiplicity of each class among ordered permutation pairs
-SYM_T3_CLASS_SIZES = np.array([1, 6, 4, 3, 6, 12, 1])
-
-
 def symmetric_coefficients_t3(obs: SchmidtObservable) -> np.ndarray:
     """Per-member values of the seven coefficient classes of a symmetric
     observable's twirl at t = 3, from the closed-form moment table of the
@@ -622,9 +619,6 @@ def aggregate_sym_classes_t3(coeffs: TwirlCoefficients, tol: float = 1e-9) -> np
 # ---------------------------------------------------------------------------
 # Tripartite coefficient classes (Kempe analysis)
 # ---------------------------------------------------------------------------
-
-CHAT_CLASSES = ("all_same", "c_differs", "b_differs", "a_differs", "all_distinct")
-
 
 def chat_vector(coeffs: TwirlCoefficients, tol: float = 1e-10) -> np.ndarray:
     """Aggregated transposition-class sums of a three-party twirl at t = 3.

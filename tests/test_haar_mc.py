@@ -102,6 +102,28 @@ def test_so3_batch_is_the_adjoint_of_su2_batch():
     assert np.max(np.abs(rots - ref)) <= 1e-14
 
 
+def _fancy_index_so3_batch(rng, count):
+    """Reference: the Bloch rotations built through fancy-indexed
+    cross-product matrices, R = 2 v v^T + [2a v]_x - [2a v]_x^T + diag."""
+    q = rng.standard_normal((count, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    a, b, c, d = q.T
+    v = np.stack([d, c, b], axis=1)
+    cross = np.zeros((count, 3, 3))
+    cross[:, [0, 1, 2], [1, 2, 0]] = 2.0 * a[:, None] * v[:, [2, 0, 1]]
+    rot = 2.0 * v[:, :, None] * v[:, None, :] + cross - cross.transpose(0, 2, 1)
+    rot[:, [0, 1, 2], [0, 1, 2]] += (a * a - np.sum(v * v, axis=1))[:, None]
+    return rot
+
+
+@pytest.mark.parametrize("count", (1, 7, 20000))
+def test_so3_batch_matches_fancy_index_construction(count):
+    for seed in (0, 3, 31, 2024):
+        rots = haar_so3_batch(np.random.default_rng(seed), count)
+        ref = _fancy_index_so3_batch(np.random.default_rng(seed), count)
+        assert rots.tobytes() == ref.tobytes(), seed
+
+
 def _local_unitary_batch(rng, parties, count):
     us = [haar_su2_batch(rng, count) for _ in range(parties)]
     full = us[0]

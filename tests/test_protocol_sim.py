@@ -14,6 +14,8 @@ from rmoments.rng import substream
 from rmoments.states import (
     bell_state,
     bloch_from_density,
+    density_from_bloch,
+    ghz_state,
     maximally_mixed,
     random_state,
 )
@@ -185,6 +187,10 @@ def test_simulate_rejects_non_product_terms():
         ps.simulate_moment([[np.eye(4)]], bell_state(), cfg)
     with pytest.raises(ValueError):
         ps.simulate_moment([[I, I, I]], bell_state(), cfg)
+    with pytest.raises(ValueError):
+        ps.simulate_moment([[I, I, I]], bloch_from_density(bell_state()), cfg)
+    with pytest.raises(ValueError):
+        ps.simulate_moment([[I, I]], bloch_from_density(ghz_state()), cfg)
 
 
 def test_sampled_outcome_in_range_when_cdf_ends_below_one():
@@ -203,6 +209,49 @@ def test_sampled_outcome_in_range_when_cdf_ends_below_one():
     np.testing.assert_array_equal(
         ps._sample_outcomes(probs, draws), (draws[:, None] > cdf).sum(axis=1)
     )
+
+
+def _dense_undrifted_trace(terms, rho, cfg, label):
+    """Reference: the same frames and draws, with complex eigenprojectors
+    rotated by each frame's SU(2) matrices, a dense Born-rule einsum and
+    one multinomial draw per frame."""
+    if not isinstance(rho, np.ndarray):
+        rho = density_from_bloch(rho)
+    n = len(terms[0])
+    rng = substream(cfg.seed, "protocol.simulate", label)
+    frames = np.stack([haar_su2_batch(rng, cfg.unitary_count) for _ in range(n)], axis=1)
+    ops = rho[None].reshape((1,) + (2,) * (2 * n))
+    trace = np.empty((cfg.unitary_count, len(terms)))
+    for j, term in enumerate(terms):
+        eig = [np.linalg.eigh(np.asarray(f, dtype=complex)) for f in term]
+        lam_prod = kron_all([np.diag(v) for v, _ in eig]).diagonal().real
+        projs = [np.einsum("ao,bo->oab", vecs, vecs.conj()) for _, vecs in eig]
+        rot = [np.einsum("kba,obc,kcd->koad", frames[:, p].conj(), projs[p], frames[:, p])
+               for p in range(n)]
+        if n == 2:
+            table = np.einsum("xaji,xblk,eikjl->xabe", *rot, ops)
+        else:
+            table = np.einsum("xaji,xblk,xcnm,eikmjln->xabce", *rot, ops)
+        probs = np.clip(np.real(table).reshape(cfg.unitary_count, -1), 0.0, None)
+        probs /= probs.sum(axis=1, keepdims=True)
+        m = cfg.shots_per_setting
+        trace[:, j] = rng.multinomial(m, probs) @ lam_prod / m
+    return trace
+
+
+@pytest.mark.parametrize("bloch", (False, True))
+@pytest.mark.parametrize("terms, rho", [
+    (ODET_TERMS, random_state("mixed", 2, 51)),
+    ([[3 * Z, Z]], random_state("pure", 2, 52)),
+    ([[I, X], [X, I], [Y, Z], [Z, Y]], random_state("mixed", 2, 53)),
+    ([[X, Z, Y], [I + Z, X, Z], [Z, Z, Z]], random_state("mixed", 3, 54)),
+    ([[Z, I, I + Z]], random_state("pure", 3, 55)),
+])
+def test_undrifted_trace_matches_dense_born_rule(terms, rho, bloch):
+    cfg = ps.ProtocolConfig(300, 200, 3, seed=9)
+    state = bloch_from_density(rho) if bloch else rho
+    _, trace = ps.simulate_moment(terms, state, cfg, "shot-ref", collect_trace=True)
+    np.testing.assert_array_equal(trace, _dense_undrifted_trace(terms, state, cfg, "shot-ref"))
 
 
 def _drift_unitaries(n_parties, thetas):

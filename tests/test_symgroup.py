@@ -133,6 +133,12 @@ def test_gram_d3_leading_entry():
     assert sg.gram_matrix(3, 3).entries[0, 0] == 27
 
 
+def test_gram_entries_use_the_smallest_signed_type():
+    assert sg.gram_matrix(6, 2).entries.dtype == np.int8
+    assert sg.gram_matrix(5, 3).entries.dtype == np.int16
+    assert sg.gram_block(sg.enumerate_group(2), sg.enumerate_group(2), 200).dtype == np.int32
+
+
 def test_gram_matches_brute_force():
     for t in (2, 3, 4):
         perms = sg.enumerate_group(t)

@@ -685,3 +685,47 @@ def test_diagnostics_record(rng):
     assert 0.0 <= diag.solve_residual <= twirl.SOLVE_RESIDUAL_TOL
     with pytest.raises(AttributeError):
         diag.basis_size = 0
+
+
+def test_pauli_factors_match_the_full_trace_table(rng):
+    # W_B is kept on its support columns; the factors built from it equal the
+    # products with the full table bit for bit, the collapsed identity included
+    from rmoments import protocol_sim as ps
+
+    tables = [twirl.twirl_coefficients(random_rank_observable(rng, rank), t)
+              for t, rank in ((1, 2), (2, 1), (3, 2), (4, 3), (5, 1), (6, 1), (6, 3))]
+    tables += [co for name in ps.PIPELINES for co in ps._pipeline_engines(name)]
+    for co in tables:
+        t = co.t
+        full = twirl._w_rows(sg.commutant_basis(t), t)
+        codes, rows = twirl._basis_w(t)
+        assert len(codes) == 4 ** (t - 1)
+        assert not np.any(np.delete(full, codes, axis=1))
+        assert np.array_equal(rows, full[:, codes])
+        for f, p in zip(co.factors, co._pauli):
+            assert np.array_equal(p, f @ full)
+
+
+def test_three_party_moment_matches_dense_contraction(rng):
+    # the merged weighted sum against sum_k <wx_k x wy_k x wz_k, R3^xt> / 8^t
+    # with R3^xt formed densely, for physical and non-physical records
+    for t in (1, 2, 3):
+        obs = TripartiteObservable(
+            [tuple(random_hermitian(rng) for _ in range(3)) for _ in range(2)],
+            rng.uniform(0.5, 1.5, 2),
+        )
+        co = twirl.twirl_coefficients(obs, t)
+        full = twirl._w_rows(sg.commutant_basis(t), t)
+        wx, wy, wz = (f @ full for f in co.factors)
+        states = [random_bloch_record(3, rng),
+                  bloch_from_density(random_state("mixed", 3, int(rng.integers(1000))))]
+        for st in states:
+            r = transfer_from_bloch(st)
+            rt = r
+            for _ in range(t - 1):
+                rt = np.multiply.outer(rt, r)
+            # axes (a1 b1 c1 a2 b2 c2 ...) -> (a1..at, b1..bt, c1..ct)
+            rt = rt.transpose([3 * s + p for p in range(3) for s in range(t)])
+            want = np.einsum("ka,kb,kc,abc->", wx, wy, wz, rt.reshape((4**t,) * 3)) / 8**t
+            assert abs(want.imag) <= 1e-12
+            assert co.moment(st) == pytest.approx(want.real, rel=1e-12, abs=1e-13)
