@@ -46,6 +46,16 @@ class InputError(ValueError):
     pass
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -132,6 +142,8 @@ def _coerce_observable(terms, weights, parties: int):
 def _cmd_twirl(args) -> int:
     terms, weights = _load_observable(args.observable)
     parties = len(terms[0])
+    if parties == 3 and args.t > 3:
+        raise InputError(f"three-party twirl supports t <= 3, got t={args.t}")
     obs = _coerce_observable(terms, weights, parties)
     coeffs = twirl.twirl_coefficients(obs, args.t)
     doc = {"t": args.t, "parties": parties}
@@ -248,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twirl", help="exact twirl coefficients and moments")
     p.add_argument("--observable", required=True)
     p.add_argument("--state", default="")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=int, required=True,
+                   choices=range(1, symgroup.MAX_MOMENT + 1))
     p.add_argument("--gauge", choices=("minnorm", "reduced"), default="minnorm")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="")
@@ -257,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo moment estimate")
     p.add_argument("--observable", required=True)
     p.add_argument("--state", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--t", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="")
     p.set_defaults(func=_cmd_mc)
@@ -267,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--invariant", required=True,
                    choices=tuple(protocol_sim.PIPELINES) + ("kempe",))
-    p.add_argument("--unitaries", type=int, default=1000)
-    p.add_argument("--shots", type=int, default=200)
+    p.add_argument("--unitaries", type=_positive_int, default=1000)
+    p.add_argument("--shots", type=_positive_int, default=200)
     p.add_argument("--drift", type=float, default=0.0)
     p.add_argument("--drift-cost", type=int, default=0,
                    help="extra drift ticks charged per setting change")
@@ -280,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run the numerical verification suite")
-    p.add_argument("--claim", action="append",
+    p.add_argument("--claim", action="append", choices=tuple(verify.ALL_CHECKS),
                    help="claim id to run (repeatable; default all)")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--workers", type=int, default=1)

@@ -21,9 +21,6 @@ from .linalg import DimensionError, eigvalsh, kron_all, num_qubits, partial_tran
 from .paulis import PAULIS
 from .rng import substream
 
-PHYSICAL_TOL = 1e-10
-TRACE_TOL = 1e-12
-
 
 @dataclass
 class TwoQubitState:
@@ -137,14 +134,6 @@ def density_from_bloch(state) -> np.ndarray:
     return rho / 2**n
 
 
-def is_physical(rho: np.ndarray, tol: float = PHYSICAL_TOL) -> bool:
-    """Positive semidefinite up to -tol and unit trace up to TRACE_TOL."""
-    rho = np.asarray(rho)
-    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
-        return False
-    return float(np.min(eigvalsh(rho))) >= -tol
-
-
 def random_state(kind: str, qubits: int, seed: int) -> np.ndarray:
     """Random density matrix, deterministic per seed.
 
@@ -195,29 +184,6 @@ def partial_transpose_bloch(state: TwoQubitState, party: int = 2) -> TwoQubitSta
         out.T[:, 1] *= -1.0
     else:
         raise ValueError("party must be 1 or 2")
-    return out
-
-
-def partial_transpose_bloch3(state: ThreeQubitState, party: int) -> ThreeQubitState:
-    """Partial transpose of one subsystem of a three-qubit Bloch record."""
-    out = state.copy()
-    if party == 1:
-        out.alpha[1] *= -1.0
-        out.TAB[1, :] *= -1.0
-        out.TCA[:, 1] *= -1.0
-        out.W[1, :, :] *= -1.0
-    elif party == 2:
-        out.beta[1] *= -1.0
-        out.TAB[:, 1] *= -1.0
-        out.TBC[1, :] *= -1.0
-        out.W[:, 1, :] *= -1.0
-    elif party == 3:
-        out.gamma[1] *= -1.0
-        out.TBC[:, 1] *= -1.0
-        out.TCA[1, :] *= -1.0
-        out.W[:, :, 1] *= -1.0
-    else:
-        raise ValueError("party must be 1, 2 or 3")
     return out
 
 

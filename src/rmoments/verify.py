@@ -6,6 +6,7 @@ accumulated solver error -- and reports a machine-readable pass/fail entry.
 Checks are independent, deterministic per seed, and runnable in isolation.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 from itertools import product as _product
@@ -81,6 +82,33 @@ class VerificationReport:
         }
 
 
+#: claim id -> registered check, in definition order
+ALL_CHECKS = {}
+
+
+def register(claim: str, statement: str, tolerance: float):
+    """Register the decorated check body under ``claim``.
+
+    The body takes the seed (and optional size keywords) and returns
+    ``(trials, max_deviation, passed)``.  The registered check times the
+    body and returns its ``CheckResult``; it keeps the body's name, so
+    ``verify.check_x(seed, ...)`` and ``ALL_CHECKS[claim](seed)`` are the
+    same callable.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def check(seed: int, **sizes) -> CheckResult:
+            t0 = time.perf_counter()
+            trials, dev, passed = body(seed, **sizes)
+            return CheckResult(claim, statement, trials, dev, tolerance, passed,
+                               time.perf_counter() - t0)
+
+        ALL_CHECKS[claim] = check
+        return check
+
+    return wrap
+
+
 _T3_NAMES = ("1", "I4", "I7", "I2", "I12", "I1")
 
 
@@ -94,8 +122,8 @@ def _t3_fit_setup(rng, count=24):
 # registered checks
 # ---------------------------------------------------------------------------
 
-def check_gram_values(seed: int) -> CheckResult:
-    t0 = time.perf_counter()
+@register("gram_values", "permutation Gram matrix at t=3, d=2 equals the exact integer table", 0.0)
+def check_gram_values(seed: int):
     expected = np.array([
         [8, 4, 4, 4, 2, 2],
         [4, 8, 2, 2, 4, 4],
@@ -106,12 +134,7 @@ def check_gram_values(seed: int) -> CheckResult:
     ])
     g = sg.gram_matrix(3, 2).entries
     dev = float(np.max(np.abs(g - expected)))
-    return CheckResult(
-        claim="gram_values",
-        statement="permutation Gram matrix at t=3, d=2 equals the exact integer table",
-        trials=1, max_deviation=dev, tolerance=0.0, passed=dev == 0.0,
-        seconds=time.perf_counter() - t0,
-    )
+    return 1, dev, dev == 0.0
 
 
 #: kernel combinations of permutation operators at t=4, d=2, encoded as
@@ -142,8 +165,9 @@ KERNEL_COMBOS_T4 = (
 )
 
 
-def check_kernel_facts(seed: int) -> CheckResult:
-    t0 = time.perf_counter()
+@register("kernel_facts", "t=3 Gram kernel is one-dimensional spanning (1,-1,-1,-1,1,1); "
+          "t=4 kernel is 10-dimensional containing the listed operator identities", 1e-9)
+def check_kernel_facts(seed: int):
     devs = []
     g3 = sg.gram_matrix(3, 2)
     k3 = sg.kernel_basis(g3)
@@ -168,17 +192,11 @@ def check_kernel_facts(seed: int) -> CheckResult:
         op = sum(c * sg.v_matrix(perms4[index[nm]], 2) for nm, c in combo.items())
         devs.append(float(np.max(np.abs(op))))
     dev = float(max(devs))
-    return CheckResult(
-        claim="kernel_facts",
-        statement="t=3 Gram kernel is one-dimensional spanning (1,-1,-1,-1,1,1); "
-                  "t=4 kernel is 10-dimensional containing the listed operator identities",
-        trials=len(KERNEL_COMBOS_T4) + 2, max_deviation=dev, tolerance=1e-9,
-        passed=dev <= 1e-9, seconds=time.perf_counter() - t0,
-    )
+    return len(KERNEL_COMBOS_T4) + 2, dev, dev <= 1e-9
 
 
-def check_det_identity(seed: int) -> CheckResult:
-    t0 = time.perf_counter()
+@register("det_identity", "third moment of the Pauli-sum observable equals det(T) exactly", 1e-10)
+def check_det_identity(seed: int):
     co = twirl.twirl_coefficients(pauli_sum_observable(), 3)
     dev = 0.0
     n = 100
@@ -186,16 +204,12 @@ def check_det_identity(seed: int) -> CheckResult:
         kind = "pure" if i % 2 else "mixed"
         st = bloch_from_density(random_state(kind, 2, seed * 100003 + i))
         dev = max(dev, abs(co.moment(st) - float(np.linalg.det(st.T))))
-    return CheckResult(
-        claim="det_identity",
-        statement="third moment of the Pauli-sum observable equals det(T) exactly",
-        trials=n, max_deviation=dev, tolerance=1e-10, passed=dev <= 1e-10,
-        seconds=time.perf_counter() - t0,
-    )
+    return n, dev, dev <= 1e-10
 
 
-def check_engine_vs_mc(seed: int, triples: int = 50, samples: int = 100_000) -> CheckResult:
-    t0 = time.perf_counter()
+@register("engine_vs_mc", "exact moments match plain Monte Carlo within 3 standard errors "
+          "in at least 95% of random (observable, state, t<=4) triples", 0.05)
+def check_engine_vs_mc(seed: int, triples: int = 50, samples: int = 100_000):
     rng = substream(seed, "verify", "engine_vs_mc")
     hits = 0
     worst_pull = 0.0
@@ -211,17 +225,12 @@ def check_engine_vs_mc(seed: int, triples: int = 50, samples: int = 100_000) -> 
         if abs(exact - est.mean) <= 3.0 * est.stderr:
             hits += 1
     frac = hits / triples
-    return CheckResult(
-        claim="engine_vs_mc",
-        statement="exact moments match plain Monte Carlo within 3 standard errors "
-                  "in at least 95% of random (observable, state, t<=4) triples",
-        trials=triples, max_deviation=1.0 - frac, tolerance=0.05,
-        passed=frac >= 0.95, seconds=time.perf_counter() - t0,
-    )
+    return triples, 1.0 - frac, frac >= 0.95
 
 
-def check_pt_product_invariance(seed: int, pairs: int = 100) -> CheckResult:
-    t0 = time.perf_counter()
+@register("pt_product_invariance", "product-observable moments are invariant under partial "
+          "transposition of the state for all t <= 4", 1e-10)
+def check_pt_product_invariance(seed: int, pairs: int = 100):
     rng = substream(seed, "verify", "pt_product_invariance")
     dev = 0.0
     for i in range(pairs):
@@ -231,17 +240,12 @@ def check_pt_product_invariance(seed: int, pairs: int = 100) -> CheckResult:
         for t in (1, 2, 3, 4):
             co = twirl.twirl_coefficients(obs, t)
             dev = max(dev, abs(co.moment(st) - co.moment(stp)))
-    return CheckResult(
-        claim="pt_product_invariance",
-        statement="product-observable moments are invariant under partial "
-                  "transposition of the state for all t <= 4",
-        trials=pairs * 4, max_deviation=dev, tolerance=1e-10,
-        passed=dev <= 1e-10, seconds=time.perf_counter() - t0,
-    )
+    return pairs * 4, dev, dev <= 1e-10
 
 
-def check_pt_invariant_flips(seed: int, count: int = 100) -> CheckResult:
-    t0 = time.perf_counter()
+@register("pt_invariant_flips", "partial transposition flips exactly det(T) and the Hodge "
+          "invariant among the continuous invariants", 1e-10)
+def check_pt_invariant_flips(seed: int, count: int = 100):
     rng = substream(seed, "verify", "pt_invariant_flips")
     dev = 0.0
     even = [n for n in ("I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9", "I12", "I13")]
@@ -252,17 +256,12 @@ def check_pt_invariant_flips(seed: int, count: int = 100) -> CheckResult:
         dev = max(dev, abs(a.I1 + b.I1), abs(a.I14 + b.I14))
         for nm in even:
             dev = max(dev, abs(getattr(a, nm) - getattr(b, nm)))
-    return CheckResult(
-        claim="pt_invariant_flips",
-        statement="partial transposition flips exactly det(T) and the Hodge "
-                  "invariant among the continuous invariants",
-        trials=count, max_deviation=dev, tolerance=1e-10,
-        passed=dev <= 1e-10, seconds=time.perf_counter() - t0,
-    )
+    return count, dev, dev <= 1e-10
 
 
-def check_det_type3_lower(seed: int, count: int = 1000) -> CheckResult:
-    t0 = time.perf_counter()
+@register("det_type3_lower", "tensor rank <= 2 forces a vanishing det(T) coefficient in "
+          "third moments", 1e-9)
+def check_det_type3_lower(seed: int, count: int = 1000):
     rng = substream(seed, "verify", "det_type3_lower")
     states, design = _t3_fit_setup(rng)
     dev = 0.0
@@ -270,17 +269,12 @@ def check_det_type3_lower(seed: int, count: int = 1000) -> CheckResult:
         rank = 1 + int(rng.integers(0, 2))
         co = twirl.twirl_coefficients(random_rank_observable(rng, rank), 3)
         dev = max(dev, abs(twirl.fit(_T3_NAMES, design, co.moments(states)).coefficient("I1")))
-    return CheckResult(
-        claim="det_type3_lower",
-        statement="tensor rank <= 2 forces a vanishing det(T) coefficient in "
-                  "third moments",
-        trials=count, max_deviation=dev, tolerance=1e-9,
-        passed=dev <= 1e-9, seconds=time.perf_counter() - t0,
-    )
+    return count, dev, dev <= 1e-9
 
 
-def check_det_prefactor_formula(seed: int, count: int = 200) -> CheckResult:
-    t0 = time.perf_counter()
+@register("det_prefactor_formula", "the fitted det(T) coefficient equals the Gram-determinant "
+          "prefactor formula for tensor ranks 1 through 4", 1e-8)
+def check_det_prefactor_formula(seed: int, count: int = 200):
     rng = substream(seed, "verify", "det_prefactor_formula")
     states, design = _t3_fit_setup(rng)
     dev = 0.0
@@ -290,17 +284,12 @@ def check_det_prefactor_formula(seed: int, count: int = 200) -> CheckResult:
         co = twirl.twirl_coefficients(obs, 3)
         sol = twirl.fit(_T3_NAMES, design, co.moments(states))
         dev = max(dev, abs(sol.coefficient("I1") - det_prefactor(obs)))
-    return CheckResult(
-        claim="det_prefactor_formula",
-        statement="the fitted det(T) coefficient equals the Gram-determinant "
-                  "prefactor formula for tensor ranks 1 through 4",
-        trials=count, max_deviation=dev, tolerance=1e-8,
-        passed=dev <= 1e-8, seconds=time.perf_counter() - t0,
-    )
+    return count, dev, dev <= 1e-8
 
 
-def check_det_only_symmetric(seed: int, family: int = 50, generic: int = 500) -> CheckResult:
-    t0 = time.perf_counter()
+@register("det_only_symmetric", "rotated Pauli sums measure s1 s2 s3 det(T)/8 and nothing else; "
+          "no symmetric rank-4 observable measures the determinant alone", 1e-9)
+def check_det_only_symmetric(seed: int, family: int = 50, generic: int = 500):
     rng = substream(seed, "verify", "det_only_symmetric")
     states, design = _t3_fit_setup(rng)
     dev = 0.0
@@ -317,21 +306,16 @@ def check_det_only_symmetric(seed: int, family: int = 50, generic: int = 500) ->
         sol = twirl.fit(_T3_NAMES, design, twirl.twirl_coefficients(obs, 3).moments(states))
         floor = min(floor, float(np.max(np.abs(sol.coefficients[non_det_cols[1:]]))))
     passed = dev <= 1e-9 and floor > 1e-6
-    return CheckResult(
-        claim="det_only_symmetric",
-        statement="rotated Pauli sums measure s1 s2 s3 det(T)/8 and nothing else; "
-                  "no symmetric rank-4 observable measures the determinant alone",
-        trials=family + generic,
-        max_deviation=float(dev if dev > 1e-9 else (0.0 if floor > 1e-6 else 1e-6 - floor)),
-        tolerance=1e-9, passed=passed, seconds=time.perf_counter() - t0,
-    )
+    return (family + generic,
+            float(dev if dev > 1e-9 else (0.0 if floor > 1e-6 else 1e-6 - floor)), passed)
 
 
 _FOUR_CYCLE_INVERSES = {"(1234)": "(1432)", "(1243)": "(1342)", "(1324)": "(1423)"}
 
 
-def check_det_t4_nogo(seed: int, count: int = 200) -> CheckResult:
-    t0 = time.perf_counter()
+@register("det_t4_nogo", "tensor rank <= 2 kills the PT-odd sector of fourth moments; "
+          "reduced-gauge coefficients are symmetric under 4-cycle inversion", 1e-9)
+def check_det_t4_nogo(seed: int, count: int = 200):
     rng = substream(seed, "verify", "det_t4_nogo")
     dev = 0.0
     for i in range(count):
@@ -350,13 +334,7 @@ def check_det_t4_nogo(seed: int, count: int = 200) -> CheckResult:
             )
             for a, b in _FOUR_CYCLE_INVERSES.items():
                 dev = max(dev, abs(x[index[a]] - x[index[b]]))
-    return CheckResult(
-        claim="det_t4_nogo",
-        statement="tensor rank <= 2 kills the PT-odd sector of fourth moments; "
-                  "reduced-gauge coefficients are symmetric under 4-cycle inversion",
-        trials=count + 20 * 16, max_deviation=dev, tolerance=1e-9,
-        passed=dev <= 1e-9, seconds=time.perf_counter() - t0,
-    )
+    return count + 20 * 16, dev, dev <= 1e-9
 
 
 def _condition_expressions(a, b, c):
@@ -374,7 +352,11 @@ def _condition_expressions(a, b, c):
     )
 
 
-def check_hodge_t4_nogo(seed: int, count: int = 200) -> CheckResult:
+@register("hodge_t4_nogo", "[known false at rank 3] tensor rank <= 3 forces a vanishing "
+          "Hodge coefficient at t=4; the six orthonormal-trace conditions "
+          "vanish and the gauge-fixed 3-cycle coefficient matches its "
+          "closed form", 1e-9)
+def check_hodge_t4_nogo(seed: int, count: int = 200):
     """Tests the claim that tensor rank <= 3 forces a vanishing Hodge
     coefficient in fourth moments.  The claim is FALSE for rank 3: the
     fixpoint-free 4-cycle pairs (pi, pi) and (pi, pi^-1) carry the odd
@@ -384,7 +366,6 @@ def check_hodge_t4_nogo(seed: int, count: int = 200) -> CheckResult:
     as stated and reports the honest failure; the companion structure
     check pins the corrected statement.
     """
-    t0 = time.perf_counter()
     rng = substream(seed, "verify", "hodge_t4_nogo")
     dev_coeff = 0.0
     for i in range(count):
@@ -419,25 +400,19 @@ def check_hodge_t4_nogo(seed: int, count: int = 200) -> CheckResult:
             )
             dev_closed = max(dev_closed, abs(6 * x[index["(123)"]] - rhs))
     dev = max(dev_coeff, dev_cond, dev_closed)
-    return CheckResult(
-        claim="hodge_t4_nogo",
-        statement="[known false at rank 3] tensor rank <= 3 forces a vanishing "
-                  "Hodge coefficient at t=4; the six orthonormal-trace conditions "
-                  "vanish and the gauge-fixed 3-cycle coefficient matches its "
-                  "closed form",
-        trials=count + 30 + 6 * 81, max_deviation=dev, tolerance=1e-9,
-        passed=dev_coeff <= 1e-9 and dev_cond <= 1e-10 and dev_closed <= 1e-9,
-        seconds=time.perf_counter() - t0,
-    )
+    return (count + 30 + 6 * 81, dev,
+            dev_coeff <= 1e-9 and dev_cond <= 1e-10 and dev_closed <= 1e-9)
 
 
-def check_hodge_rank3_structure(seed: int, count: int = 120) -> CheckResult:
+@register("hodge_rank3_structure",
+          "the PT-odd sector of rank-<=3 fourth moments is spanned by the "
+          "single combination 6 det(T) + Hodge, generically nonzero at rank 3", 1e-9)
+def check_hodge_rank3_structure(seed: int, count: int = 120):
     """The corrected fourth-moment statement: the PT-odd sector of a
     tensor-rank-3 observable is exactly proportional to 6 det(T) + Hodge
     (empty for rank <= 2, two-dimensional only at rank 4), because the
     fixpoint-free pairs (pi, pi) and (pi, pi^-1) of 4-cycles contribute
     -+(6 det T + Hodge)/16 to tr(rho^x4 V_piA x V_piB)."""
-    t0 = time.perf_counter()
     rng = substream(seed, "verify", "hodge_rank3_structure")
     states = [random_bloch_record(2, rng) for _ in range(16)]
     combo = np.array([6.0 * makhlin(s).I1 + makhlin(s).I14 for s in states])
@@ -475,17 +450,12 @@ def check_hodge_rank3_structure(seed: int, count: int = 120) -> CheckResult:
             odd = (np.trace(rho4 @ op) - np.trace(rho4_pt @ op)).real / 2.0
             dev = max(dev, abs(odd - sign * expect))
     passed = dev <= 1e-9 and seen_nonzero > 1e-3
-    return CheckResult(
-        claim="hodge_rank3_structure",
-        statement="the PT-odd sector of rank-<=3 fourth moments is spanned by the "
-                  "single combination 6 det(T) + Hodge, generically nonzero at rank 3",
-        trials=count + 12, max_deviation=dev, tolerance=1e-9,
-        passed=passed, seconds=time.perf_counter() - t0,
-    )
+    return count + 12, dev, passed
 
 
-def check_hodge_recoverable(seed: int, count: int = 100) -> CheckResult:
-    t0 = time.perf_counter()
+@register("hodge_recoverable", "the rank-4 observable pair difference recovers the Hodge "
+          "invariant through the exact engine with 4 settings", 1e-8)
+def check_hodge_recoverable(seed: int, count: int = 100):
     dev = 0.0
     for i in range(count):
         st = bloch_from_density(random_state("mixed" if i % 2 else "pure", 2, seed * 5 + i))
@@ -493,17 +463,12 @@ def check_hodge_recoverable(seed: int, count: int = 100) -> CheckResult:
         dev = max(dev, abs(rep.estimate - rep.reference))
         if rep.settings_used != 4:
             dev = max(dev, 1.0)
-    return CheckResult(
-        claim="hodge_recoverable",
-        statement="the rank-4 observable pair difference recovers the Hodge "
-                  "invariant through the exact engine with 4 settings",
-        trials=count, max_deviation=dev, tolerance=1e-8,
-        passed=dev <= 1e-8, seconds=time.perf_counter() - t0,
-    )
+    return count, dev, dev <= 1e-8
 
 
-def check_x123_vanishing(seed: int, count: int = 200) -> CheckResult:
-    t0 = time.perf_counter()
+@register("x123_vanishing", "the 3-cycle coefficient vanishes for every factor tuple drawn "
+          "from an orthonormal pair, via both trace identities and solver", 1e-10)
+def check_x123_vanishing(seed: int, count: int = 200):
     rng = substream(seed, "verify", "x123_vanishing")
     dev = 0.0
     perms3 = sg.enumerate_group(3)
@@ -517,17 +482,13 @@ def check_x123_vanishing(seed: int, count: int = 200) -> CheckResult:
             x = twirl.solve_factor_coefficients([(a, b)[j] for j in jj])
             xf = twirl.gauge_fix(x, 3)
             dev = max(dev, abs(xf[index["(123)"]]))
-    return CheckResult(
-        claim="x123_vanishing",
-        statement="the 3-cycle coefficient vanishes for every factor tuple drawn "
-                  "from an orthonormal pair, via both trace identities and solver",
-        trials=count, max_deviation=dev, tolerance=1e-10,
-        passed=dev <= 1e-10, seconds=time.perf_counter() - t0,
-    )
+    return count, dev, dev <= 1e-10
 
 
-def check_kempe_rank1_obstruction(seed: int, count: int = 200) -> CheckResult:
-    t0 = time.perf_counter()
+@register("kempe_rank1_obstruction",
+          "product three-party observables only reach the five degree-3 "
+          "companions in the fixed (3,6,6,6,6) combination", 1e-10)
+def check_kempe_rank1_obstruction(seed: int, count: int = 200):
     rng = substream(seed, "verify", "kempe_rank1_obstruction")
     pattern = np.array([3.0, 6.0, 6.0, 6.0, 6.0])
     dev = 0.0
@@ -538,17 +499,12 @@ def check_kempe_rank1_obstruction(seed: int, count: int = 200) -> CheckResult:
         chat = twirl.chat_vector(twirl.twirl_coefficients(obs, 3))
         xi = chat[0] / 3.0
         dev = max(dev, float(np.max(np.abs(chat - xi * pattern))))
-    return CheckResult(
-        claim="kempe_rank1_obstruction",
-        statement="product three-party observables only reach the five degree-3 "
-                  "companions in the fixed (3,6,6,6,6) combination",
-        trials=count, max_deviation=dev, tolerance=1e-10,
-        passed=dev <= 1e-10, seconds=time.perf_counter() - t0,
-    )
+    return count, dev, dev <= 1e-10
 
 
-def check_kempe_rank2_recovery(seed: int, count: int = 100) -> CheckResult:
-    t0 = time.perf_counter()
+@register("kempe_rank2_recovery", "the rank-2 observable set has the exact aggregated coefficient "
+          "vectors and recovers the Kempe invariant (1/4 on GHZ) with 2 settings", 1e-8)
+def check_kempe_rank2_recovery(seed: int, count: int = 100):
     obs = ps.kempe_observables()
     chat_w = twirl.chat_vector(twirl.twirl_coefficients(obs["w_norm"], 3))
     chat_c = twirl.chat_vector(twirl.twirl_coefficients(obs["cross_c"], 3))
@@ -564,18 +520,14 @@ def check_kempe_rank2_recovery(seed: int, count: int = 100) -> CheckResult:
     ghz = ps.recover_kempe(bloch_from_density(ghz_state()))
     dev_ghz = abs(ghz.estimate - 0.25)
     dev = max(dev_chat, dev_rec, dev_ghz)
-    return CheckResult(
-        claim="kempe_rank2_recovery",
-        statement="the rank-2 observable set has the exact aggregated coefficient "
-                  "vectors and recovers the Kempe invariant (1/4 on GHZ) with 2 settings",
-        trials=count + 3, max_deviation=dev, tolerance=1e-8,
-        passed=dev_chat <= 1e-12 and dev_rec <= 1e-8 and dev_ghz <= 1e-8 and settings_ok,
-        seconds=time.perf_counter() - t0,
-    )
+    return (count + 3, dev,
+            dev_chat <= 1e-12 and dev_rec <= 1e-8 and dev_ghz <= 1e-8 and settings_ok)
 
 
-def check_table_types(seed: int, count: int = 25) -> CheckResult:
-    t0 = time.perf_counter()
+@register("table_I_types", "every continuous invariant is recovered through its optimal "
+          "observable with the expected settings count (ten type-1 rows, "
+          "determinant type 3, Hodge type 4)", 1e-8)
+def check_table_types(seed: int, count: int = 25):
     dev = 0.0
     settings_ok = True
     for i in range(count):
@@ -584,18 +536,12 @@ def check_table_types(seed: int, count: int = 25) -> CheckResult:
         for name, rep in reports.items():
             dev = max(dev, abs(rep.estimate - rep.reference))
             settings_ok = settings_ok and rep.settings_used == ps.EXPECTED_SETTINGS[name]
-    return CheckResult(
-        claim="table_I_types",
-        statement="every continuous invariant is recovered through its optimal "
-                  "observable with the expected settings count (ten type-1 rows, "
-                  "determinant type 3, Hodge type 4)",
-        trials=count * 12, max_deviation=dev, tolerance=1e-8,
-        passed=dev <= 1e-8 and settings_ok, seconds=time.perf_counter() - t0,
-    )
+    return count * 12, dev, dev <= 1e-8 and settings_ok
 
 
-def check_protocol_statistics(seed: int) -> CheckResult:
-    t0 = time.perf_counter()
+@register("protocol_statistics", "the finite-shot protocol lands within 4 standard errors of the "
+          "Bell-state determinant and its error scales as K^(-1/2)", 1.0)
+def check_protocol_statistics(seed: int):
     terms = [[_X, _X], [_Y, _Y], [_Z, _Z]]
     cfg = ps.ProtocolConfig(2000, 200, 3, seed=seed)
     est = ps.simulate_moment(terms, bell_state(), cfg, label="acceptance")
@@ -609,17 +555,13 @@ def check_protocol_statistics(seed: int) -> CheckResult:
     ]
     slope = float(np.polyfit(np.log(ks), np.log(errs), 1)[0])
     passed = pull <= 4.0 and abs(slope + 0.5) <= 0.1
-    return CheckResult(
-        claim="protocol_statistics",
-        statement="the finite-shot protocol lands within 4 standard errors of the "
-                  "Bell-state determinant and its error scales as K^(-1/2)",
-        trials=4, max_deviation=float(max(pull / 4.0, abs(slope + 0.5) / 0.1)),
-        tolerance=1.0, passed=passed, seconds=time.perf_counter() - t0,
-    )
+    return 4, float(max(pull / 4.0, abs(slope + 0.5) / 0.1)), passed
 
 
-def check_drift_robustness(seed: int) -> CheckResult:
-    t0 = time.perf_counter()
+@register("drift_robustness", "slow reference-frame drift with costly setting changes leaves "
+          "single-setting protocols unbiased while multi-setting protocols "
+          "acquire a clear bias", 4.0)
+def check_drift_robustness(seed: int):
     st = bell_state()
     single = [[3 * _Z, _Z]]
     multi = [[_X, _X], [_Y, _Y], [_Z, _Z]]
@@ -633,51 +575,24 @@ def check_drift_robustness(seed: int) -> CheckResult:
     bias_single = abs(e_single.mean - 3.0) / e_single.stderr
     bias_multi = abs(e_multi.mean + 1.0) / e_multi.stderr
     passed = bias_single <= 4.0 and bias_multi > 4.0
-    return CheckResult(
-        claim="drift_robustness",
-        statement="slow reference-frame drift with costly setting changes leaves "
-                  "single-setting protocols unbiased while multi-setting protocols "
-                  "acquire a clear bias",
-        trials=2, max_deviation=float(bias_single), tolerance=4.0,
-        passed=passed, seconds=time.perf_counter() - t0,
-    )
-
-
-ALL_CHECKS = {
-    "gram_values": check_gram_values,
-    "kernel_facts": check_kernel_facts,
-    "det_identity": check_det_identity,
-    "engine_vs_mc": check_engine_vs_mc,
-    "pt_product_invariance": check_pt_product_invariance,
-    "pt_invariant_flips": check_pt_invariant_flips,
-    "det_type3_lower": check_det_type3_lower,
-    "det_prefactor_formula": check_det_prefactor_formula,
-    "det_only_symmetric": check_det_only_symmetric,
-    "det_t4_nogo": check_det_t4_nogo,
-    "hodge_t4_nogo": check_hodge_t4_nogo,
-    "hodge_rank3_structure": check_hodge_rank3_structure,
-    "hodge_recoverable": check_hodge_recoverable,
-    "x123_vanishing": check_x123_vanishing,
-    "kempe_rank1_obstruction": check_kempe_rank1_obstruction,
-    "kempe_rank2_recovery": check_kempe_rank2_recovery,
-    "table_I_types": check_table_types,
-    "protocol_statistics": check_protocol_statistics,
-    "drift_robustness": check_drift_robustness,
-}
+    return 2, float(bias_single), passed
 
 
 def run_suite(selection=None, seed: int = 2024, workers: int = 1) -> VerificationReport:
     """Run the registered checks (all by default), deterministic per seed.
 
-    Failures become report entries, never exceptions.  With ``workers > 1``
-    checks run in a process pool; results are merged in registration order
-    so the report is identical regardless of worker count.
+    A claim that does not hold becomes a report entry with ``passed``
+    false; an exception raised inside a check propagates to the caller.
+    With ``workers > 1`` checks run in a process pool of at most one worker
+    per selected check; results are merged in registration order so the
+    report is identical regardless of worker count.
     """
     names = list(ALL_CHECKS) if selection is None else list(selection)
     for nm in names:
         if nm not in ALL_CHECKS:
             raise KeyError(f"unknown claim id {nm!r}")
     report = VerificationReport(seed=seed)
+    workers = min(workers, len(names))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

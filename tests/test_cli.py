@@ -169,13 +169,44 @@ def test_seeded_output_is_byte_identical(tmp_path):
     assert len((tmp_path / "I13-0.csv").read_text().splitlines()) == 1 + 40
 
 
-def test_simulate_rejects_moment_flag(tmp_path):
+@pytest.mark.parametrize("argv, code", (
     # every pipeline fixes its own moment order; there is no --t to set
-    state = tmp_path / "bell.json"
-    run(["state-gen", "--kind", "bell", "--out", str(state)])
-    with pytest.raises(SystemExit) as exc:
-        run(["simulate", "--state", str(state), "--invariant", "I2", "--t", "3"])
-    assert exc.value.code == 2
+    pytest.param(["simulate", "--state", "{bell}", "--invariant", "I2", "--t", "3"], None,
+                 id="simulate-moment-flag"),
+    pytest.param(["simulate", "--state", "{bell}", "--invariant", "I2", "--unitaries", "0"], None,
+                 id="simulate-unitaries-0"),
+    pytest.param(["simulate", "--state", "{bell}", "--invariant", "I2", "--shots", "-1"], None,
+                 id="simulate-shots-negative"),
+    pytest.param(["twirl", "--observable", "{odet}", "--t", "0"], None, id="twirl-t-0"),
+    pytest.param(["twirl", "--observable", "{odet}", "--t", "-2"], None, id="twirl-t-negative"),
+    pytest.param(["twirl", "--observable", "{odet}", "--t", "7"], None, id="twirl-t-above-max"),
+    pytest.param(["twirl", "--observable", "{xxx}", "--t", "4"], cli.EXIT_BAD_INPUT,
+                 id="twirl-three-party-t-4"),
+    pytest.param(["mc", "--observable", "{odet}", "--state", "{bell}", "--t", "3",
+                  "--samples", "0"], None, id="mc-samples-0"),
+    pytest.param(["mc", "--observable", "{odet}", "--state", "{bell}", "--t", "-1"], None,
+                 id="mc-t-negative"),
+    pytest.param(["verify", "--claim", "nope"], None, id="verify-unknown-claim"),
+))
+def test_malformed_flags_are_rejected(tmp_path, capsys, argv, code):
+    # argparse rejects a malformed flag with SystemExit(2) and a usage message;
+    # input the parser cannot see exits EXIT_BAD_INPUT with an error line
+    files = {"bell": tmp_path / "bell.json", "odet": tmp_path / "odet.json",
+             "xxx": tmp_path / "xxx.json"}
+    run(["state-gen", "--kind", "bell", "--out", str(files["bell"])])
+    files["odet"].write_text(json.dumps(odet_doc()))
+    files["xxx"].write_text(json.dumps(observable_to_json([[X, X, X]])))
+    capsys.readouterr()
+    argv = [a.format(**files) for a in argv]
+    if code is None:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+    else:
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_state_gen_accepted_everywhere(tmp_path):

@@ -109,12 +109,35 @@ def test_kempe_lu_invariance(rng):
         assert rec2.w_norm_sq == pytest.approx(rec.w_norm_sq, abs=1e-9)
 
 
+def partial_transpose_bloch3(state, party):
+    """Partial transpose of one subsystem of a three-qubit Bloch record."""
+    out = state.copy()
+    if party == 1:
+        out.alpha[1] *= -1.0
+        out.TAB[1, :] *= -1.0
+        out.TCA[:, 1] *= -1.0
+        out.W[1, :, :] *= -1.0
+    elif party == 2:
+        out.beta[1] *= -1.0
+        out.TAB[:, 1] *= -1.0
+        out.TBC[1, :] *= -1.0
+        out.W[:, 1, :] *= -1.0
+    elif party == 3:
+        out.gamma[1] *= -1.0
+        out.TBC[:, 1] *= -1.0
+        out.TCA[1, :] *= -1.0
+        out.W[:, :, 1] *= -1.0
+    else:
+        raise ValueError("party must be 1, 2 or 3")
+    return out
+
+
 def test_kempe_pt_invariance(rng):
     # every listed field is unchanged under partial transposition of any party
     for _ in range(20):
         rec = states.random_bloch_record(3, rng)
         base = invariants.kempe(rec)
         for party in (1, 2, 3):
-            other = invariants.kempe(states.partial_transpose_bloch3(rec, party))
+            other = invariants.kempe(partial_transpose_bloch3(rec, party))
             for key, val in base.as_dict().items():
                 assert other.as_dict()[key] == pytest.approx(val, abs=1e-12)

@@ -142,26 +142,63 @@ def test_dense_table_of_pauli_sum_matches_closed_form():
 # Bloch-form trace table at t = 3
 # ---------------------------------------------------------------------------
 
+# Closed-form reference for tr(rho^x3 V_{piA} x V_{piB}), checked against
+# explicit permutation operators below.  Rows: the ten equivalence classes
+# of permutation pairs; columns: the invariant vector
+# (1, |a|^2, |b|^2, tr T^T T, <a, T b>, det T), all / 16.
+T3_TRACE_CLASSES = (
+    "id,id", "id,swap", "swap,id", "id,cycle", "cycle,id",
+    "swap,same", "swap,other", "swap,cycle", "cycle,swap", "cycle,cycle",
+)
+T3_TRACE_MATRIX = np.array([
+    [16, 0, 0, 0, 0, 0],
+    [8, 0, 8, 0, 0, 0],
+    [8, 8, 0, 0, 0, 0],
+    [4, 0, 12, 0, 0, 0],
+    [4, 12, 0, 0, 0, 0],
+    [4, 4, 4, 4, 0, 0],
+    [4, 4, 4, 0, 4, 0],
+    [2, 2, 6, 2, 4, 0],
+    [2, 6, 2, 2, 4, 0],
+    [1, 3, 3, 3, 6, -6],
+]) / 16.0
+
+
+def trace_invariant_vector_t3(state):
+    """(1, |alpha|^2, |beta|^2, tr(T^T T), <alpha, T beta>, det T)."""
+    a, b, T = state.alpha, state.beta, state.T
+    return np.array([
+        1.0, float(a @ a), float(b @ b),
+        float(np.trace(T.T @ T)), float(a @ T @ b), float(np.linalg.det(T)),
+    ])
+
+
+def t3_trace_classes(state):
+    """The ten class values of tr(rho^x3 V_{piA} x V_{piB})."""
+    vals = T3_TRACE_MATRIX @ trace_invariant_vector_t3(state)
+    return dict(zip(T3_TRACE_CLASSES, vals))
+
+
 def test_trace_invariant_vector(bell_record):
-    vec = twirl.trace_invariant_vector_t3(bell_record)
+    vec = trace_invariant_vector_t3(bell_record)
     np.testing.assert_allclose(vec, [1, 0, 0, 3, 0, -1], atol=1e-12)
 
 
 def test_t3_trace_classes_examples(rng):
     st = random_bloch_record(2, rng)
-    classes = twirl.t3_trace_classes(st)
+    classes = t3_trace_classes(st)
     assert classes["id,id"] == pytest.approx(1.0)
     alpha_sq = st.alpha @ st.alpha
     assert classes["swap,id"] == pytest.approx((1 + alpha_sq) / 2, abs=1e-12)
     bell = bloch_from_density(bell_state())
-    assert twirl.t3_trace_classes(bell)["cycle,cycle"] == pytest.approx(1.0)
+    assert t3_trace_classes(bell)["cycle,cycle"] == pytest.approx(1.0)
 
 
 def test_t3_trace_classes_brute_force(rng):
     st = random_bloch_record(2, rng)
     rho = density_from_bloch(st)
     rho3 = np.kron(np.kron(rho, rho), rho)
-    classes = twirl.t3_trace_classes(st)
+    classes = t3_trace_classes(st)
     byname = {p.cycle_string(): p for p in sg.enumerate_group(3)}
     picks = {
         "id,swap": ("()", "(13)"),
@@ -306,8 +343,78 @@ def test_odd_fit_hodge_pair():
 # symmetric closed form and tripartite classes
 # ---------------------------------------------------------------------------
 
+# Closed-form reference for a symmetric twirl at t = 3, compared with the
+# engine's Gram solve below.  The seven coefficient classes are taken in
+# the gauge where the long-3-cycle coefficients vanish per party.
+SYM_T3_CLASSES = (
+    "id,id", "id,swap", "id,cycle", "swap,same", "swap,other",
+    "swap,cycle", "cycle,cycle",
+)
+
+_SYM_T3_B = np.array([
+    [4, 0, -8, 0, 0, 0, 4],
+    [0, -2, 4, 0, 0, 2, -4],
+    [-4, 12, -4, 0, 0, -12, 8],
+    [0, 0, 0, 3, -2, -4, 4],
+    [0, 0, 0, -1, 2, -4, 4],
+    [0, 2, -4, -2, -4, 16, -8],
+    [4, -24, 16, 12, 24, -48, 16],
+]) / 144.0
+
+
+def symmetric_coefficients_t3(obs):
+    """Per-member values of the seven coefficient classes of a symmetric
+    observable's twirl at t = 3, from the closed-form moment table of the
+    factor traces (no Gram solve)."""
+    if not obs.is_symmetric():
+        raise ValueError("symmetric decomposition required (A_j = B_j)")
+    s = np.asarray(obs.s, dtype=float)
+    a = np.stack(obs.A)
+    tau = np.real(np.trace(a, axis1=1, axis2=2))
+    t2 = tau**2
+    tr3 = np.einsum("aij,bjk,cki->abc", a, a, a)   # tr(A_a A_b A_c)
+    tr_aab = np.einsum("aij,ajk,bki->ab", a, a, a)  # tr(A_a^2 A_b)
+    st = s * tau
+    v = np.array([
+        (s @ t2) ** 3,
+        (s**2 @ t2) * (s @ t2),
+        np.einsum("a,b,c,abc->", st, st, st, tr3),
+        (s @ s) * (s @ t2),
+        s**3 @ t2,
+        np.einsum("a,b,ab->", s**2, st, tr_aab),
+        np.einsum("a,b,c,abc->", s, s, s, tr3**2),
+    ], dtype=complex)
+    return np.real(_SYM_T3_B @ v)
+
+
+def aggregate_sym_classes_t3(coeffs, tol=1e-9):
+    """Extract the seven symmetric class values from an engine-built,
+    gauge-fixed coefficient table, asserting members agree within tol."""
+    dense = coeffs.dense(gauge=True)
+    perms = sg.enumerate_group(3)
+    names = [p.cycle_string() for p in perms]
+    idx = {n: i for i, n in enumerate(names)}
+    swaps = ["(12)", "(13)", "(23)"]
+    groups = {
+        "id,id": [("()", "()")],
+        "id,swap": [("()", s) for s in swaps] + [(s, "()") for s in swaps],
+        "id,cycle": [("()", "(123)"), ("(123)", "()")],
+        "swap,same": [(s, s) for s in swaps],
+        "swap,other": [(s1, s2) for s1 in swaps for s2 in swaps if s1 != s2],
+        "swap,cycle": [(s, "(123)") for s in swaps] + [("(123)", s) for s in swaps],
+        "cycle,cycle": [("(123)", "(123)")],
+    }
+    out = np.empty(len(SYM_T3_CLASSES))
+    for i, cls in enumerate(SYM_T3_CLASSES):
+        members = np.array([dense[idx[a], idx[b]] for a, b in groups[cls]])
+        if np.max(np.abs(members.imag)) > tol or np.ptp(members.real) > tol:
+            raise twirl.EngineError(f"class {cls} members disagree: {members}")
+        out[i] = members.real.mean()
+    return out
+
+
 def test_symmetric_classes_pauli_sum():
-    sym = twirl.symmetric_coefficients_t3(schmidt_decompose(pauli_sum_observable()))
+    sym = symmetric_coefficients_t3(schmidt_decompose(pauli_sum_observable()))
     expected = np.array([-2, 2, -4, -2, -2, 4, -8]) / 3.0
     np.testing.assert_allclose(sym, expected, atol=1e-12)
 
@@ -315,15 +422,15 @@ def test_symmetric_classes_pauli_sum():
 def test_symmetric_classes_match_engine(rng):
     for _ in range(10):
         ob = random_symmetric_observable(rng, 1 + int(rng.integers(0, 4)))
-        closed = twirl.symmetric_coefficients_t3(ob)
-        engine = twirl.aggregate_sym_classes_t3(twirl.twirl_coefficients(ob, 3))
+        closed = symmetric_coefficients_t3(ob)
+        engine = aggregate_sym_classes_t3(twirl.twirl_coefficients(ob, 3))
         np.testing.assert_allclose(closed, engine, atol=1e-10)
 
 
 def test_symmetric_classes_reject_asymmetric(rng):
     ob = random_rank_observable(rng, 3)
     with pytest.raises(ValueError):
-        twirl.symmetric_coefficients_t3(ob)
+        symmetric_coefficients_t3(ob)
 
 
 def test_chat_vectors_of_kempe_observables():

@@ -38,9 +38,39 @@ def test_suite_deterministic_per_seed():
 def test_worker_pool_matches_sequential():
     seq = verify.run_suite(["gram_values", "det_identity"], seed=3, workers=1).as_dict()
     par = verify.run_suite(["gram_values", "det_identity"], seed=3, workers=2).as_dict()
+    assert len(seq["checks"]) == len(par["checks"]) == 2
     for ca, cb in zip(seq["checks"], par["checks"]):
-        assert ca["claim"] == cb["claim"]
-        assert ca["max_deviation"] == cb["max_deviation"]
+        ca.pop("seconds")
+        cb.pop("seconds")
+        assert ca == cb
+
+
+def test_pool_no_larger_than_selection(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    report = verify.run_suite(["gram_values", "det_identity"], seed=3, workers=8)
+    assert sizes == [2]
+    assert [c.claim for c in report.checks] == ["gram_values", "det_identity"]
+    verify.run_suite(["gram_values"], seed=3, workers=8)
+    assert sizes == [2]  # one selected check runs in-process
 
 
 def test_unknown_claim_rejected():
