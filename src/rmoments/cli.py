@@ -46,14 +46,21 @@ class InputError(ValueError):
     pass
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _number(convert, accept, expected: str):
+    """An argparse type: the converted text, if ``accept`` takes it."""
+    def parse(text: str):
+        try:
+            if accept(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_finite_float = _number(float, np.isfinite, "a finite number")
 
 
 def _load_json(path: str) -> dict:
@@ -142,6 +149,8 @@ def _coerce_observable(terms, weights, parties: int):
 def _cmd_twirl(args) -> int:
     terms, weights = _load_observable(args.observable)
     parties = len(terms[0])
+    if parties not in (2, 3):
+        raise InputError(f"twirl supports two- and three-party observables, got {parties}")
     if parties == 3 and args.t > 3:
         raise InputError(f"three-party twirl supports t <= 3, got t={args.t}")
     obs = _coerce_observable(terms, weights, parties)
@@ -282,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(protocol_sim.PIPELINES) + ("kempe",))
     p.add_argument("--unitaries", type=_positive_int, default=1000)
     p.add_argument("--shots", type=_positive_int, default=200)
-    p.add_argument("--drift", type=float, default=0.0)
-    p.add_argument("--drift-cost", type=int, default=0,
+    p.add_argument("--drift", type=_finite_float, default=0.0)
+    p.add_argument("--drift-cost", type=_non_negative_int, default=0,
                    help="extra drift ticks charged per setting change")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true",
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", action="append", choices=tuple(verify.ALL_CHECKS),
                    help="claim id to run (repeatable; default all)")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--json", default="", help="write the report to a file")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -66,6 +66,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.unitary_count < 1 or self.shots_per_setting < 1:
             raise ValueError("unitary_count and shots_per_setting must be >= 1")
+        if self.setting_change_cost < 0 or not np.isfinite(self.drift_rate):
+            raise ValueError("setting_change_cost must be >= 0 and drift_rate finite")
 
 
 @dataclass
@@ -186,38 +188,52 @@ def _drifted_setting(rng, table, lam_prod, cfg, setting, n_set):
     advanced drift rotation; outcomes sampled shot by shot.  A copy drifted
     by theta in frame k has outcome probabilities
     sum_e c^(2n-e) s^e table[k, :, e], c = cos(theta/2), s = sin(theta/2).
-    Frames go in blocks of at most 2^15 copies, one uniform draw per copy in
-    frame-then-shot order."""
+    Frames go in blocks of at most 2^13 copies, one uniform draw per copy in
+    frame-then-shot order.  A block holds one plane over its copies per power
+    and per outcome, and keeps the association of a per-copy row: powers are
+    repeated products ((c c) c) ..., totals those of ``probs.sum(axis=-1)``."""
     k_count, m = cfg.unitary_count, cfg.shots_per_setting
     columns = table.shape[2]
     block = m + cfg.setting_change_cost
     shot_idx = np.arange(m)
-    step = max(1, (1 << 15) // m)
+    step = max(1, (1 << 13) // m)
     out = np.empty(k_count)
     for k0 in range(0, k_count, step):
         ks = np.arange(k0, min(k0 + step, k_count))
         counters = ((ks[:, None] * n_set + setting) * block
                     + cfg.setting_change_cost + shot_idx)
         half = (cfg.drift_rate * counters).ravel() / 2.0
-        weights = np.vander(np.cos(half), columns) * np.vander(np.sin(half), columns,
-                                                               increasing=True)
-        probs = np.clip(weights.reshape(len(ks), m, columns) @ table[ks].transpose(0, 2, 1),
-                        0.0, None)
-        probs /= probs.sum(axis=2, keepdims=True)
-        draws = rng.uniform(size=len(ks) * m)
-        picked = _sample_outcomes(probs.reshape(len(ks) * m, -1), draws)
-        out[ks] = lam_prod[picked].reshape(len(ks), m).mean(axis=1)
+        powers = np.empty((columns, 2, half.size))
+        powers[0], powers[1] = 1.0, (np.cos(half), np.sin(half))
+        for e in range(2, columns):
+            np.multiply(powers[e - 1], powers[1], out=powers[e])
+        weights = (powers[::-1, 0] * powers[:, 1]).reshape(columns, len(ks), m)
+        probs = np.clip(table[ks] @ weights.transpose(1, 0, 2), 0.0, None)
+        draws = rng.uniform(size=(len(ks), m))
+        picked = _sample_outcomes(_normalised(probs.transpose(1, 0, 2)), draws)
+        out[ks] = lam_prod[picked].mean(axis=1)
     return out
 
 
-def _sample_outcomes(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF outcome index per row of ``probs`` for uniform draws in
-    [0, 1).  The last CDF entry is pinned to 1: a row total rounded just
-    below 1 would otherwise let a draw above it index past the last
-    outcome."""
-    cdf = np.cumsum(probs, axis=1)
-    cdf[:, -1] = 1.0
-    return (draws[:, None] > cdf).sum(axis=1)
+def _normalised(planes: np.ndarray) -> np.ndarray:
+    """Outcome planes ``(outcomes, ...)`` divided in place by their total,
+    added as numpy adds a short contiguous row: in order ((p0 + p1) + p2) ...
+    below 8 outcomes, as ((p0 + p1) + (p2 + p3)) + ((p4 + p5) + (p6 + p7)) at 8."""
+    p = list(planes)
+    if len(p) == 8:
+        p = [(p[0] + p[1]) + (p[2] + p[3]), (p[4] + p[5]) + (p[6] + p[7])]
+    planes /= sum(p[1:], p[0])
+    return planes
+
+
+def _sample_outcomes(planes: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF outcome index for uniform draws in [0, 1) from normalised
+    outcome planes.  The last CDF entry is taken as 1: a total rounded just
+    below 1 would otherwise let a draw above it index past the last outcome."""
+    cdf, picked = planes[0].copy(), (draws > planes[0]).astype(np.intp)
+    for plane in planes[1:-1]:
+        picked += draws > np.add(cdf, plane, out=cdf)
+    return picked
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +512,9 @@ def kempe_observables() -> dict:
 
 
 @lru_cache(maxsize=None)
-def _kempe_calibration() -> dict:
-    """Exact table and fitted third-moment expansion over the three-qubit
-    dictionary of each Kempe observable, keyed like ``kempe_observables``."""
+def _kempe_calibration() -> tuple:
+    """Exact table and three-qubit dictionary fit of each Kempe observable, keyed
+    like ``kempe_observables``; the read-only target-coefficient matrix theta; its pinv."""
     rng = substream(977, "kempe.calibration")
     from .states import random_bloch_record
 
@@ -511,7 +527,11 @@ def _kempe_calibration() -> dict:
         if dec.residual > RECOVERY_TOL:
             raise twirl.EngineError(f"Kempe calibration residual {dec.residual:.2e} for {key}")
         out[key] = (table, dec.coefficients)
-    return out
+    targets = [THREE_QUBIT_MONOMIALS.index(t) for t in KEMPE_TARGETS]
+    theta = np.array([[coeffs[i] for i in targets] for _, coeffs in out.values()])
+    theta_inv = np.linalg.pinv(theta)
+    theta.flags.writeable = theta_inv.flags.writeable = False
+    return out, theta, theta_inv
 
 
 def _pad_terms(terms, pair: str):
@@ -519,14 +539,8 @@ def _pad_terms(terms, pair: str):
     party missing from ``pair`` (one of AB, BC, AC); ``None`` keeps them."""
     if pair is None:
         return terms
-    slots = {"AB": (0, 1), "BC": (1, 2), "AC": (0, 2)}[pair]
-    padded = []
-    for term in terms:
-        full = [_I, _I, _I]
-        full[slots[0]] = term[0]
-        full[slots[1]] = term[1]
-        padded.append(tuple(full))
-    return tuple(padded)
+    gap = {"AB": 2, "BC": 0, "AC": 1}[pair]
+    return tuple(tuple(term[:gap]) + (_I,) + tuple(term[gap:]) for term in terms)
 
 
 def marginal_bloch(state: ThreeQubitState, pair: str) -> TwoQubitState:
@@ -555,9 +569,8 @@ def recover_kempe(state, cfg: ProtocolConfig = None) -> RecoveryReport:
     recovered through rank-1 two-qubit pipelines on single pairs.
     """
     state = twirl.as_bloch(state, parties=3)
-    calib = _kempe_calibration()
+    calib, theta, theta_inv = _kempe_calibration()
     names = THREE_QUBIT_MONOMIALS
-    target_idx = [names.index(t) for t in KEMPE_TARGETS]
 
     # rank-1 pair recoveries feeding the linear system and the final sum
     cache = {}
@@ -566,35 +579,23 @@ def recover_kempe(state, cfg: ProtocolConfig = None) -> RecoveryReport:
     for nm, (pipeline, pair) in _MARGINAL_MONOMIALS.items():
         known[nm], known_err[nm], _ = _evaluate(pipeline, state, cfg, pair, cache)
 
-    # moments of the five decoupling observables
-    r_vals, r_errs = {}, {}
-    for key, obs in kempe_observables().items():
+    # linear system Theta @ targets = R - known part, R the moments of the
+    # five decoupling observables
+    rhs, rhs_err = np.empty((2, len(calib)))
+    for row, (key, obs) in enumerate(kempe_observables().items()):
         if cfg is None:
-            r_vals[key] = calib[key][0].moment(state)
-            r_errs[key] = 0.0
+            rest, err = calib[key][0].moment(state), 0.0
         else:
             est = simulate_moment(list(obs.terms), state, replace(cfg, moment=3),
                                   label=f"kempe-{key}")
-            r_vals[key] = est.mean
-            r_errs[key] = est.stderr
-
-    # linear system Theta @ targets = R - known part
-    keys = tuple(calib)
-    theta = np.array([[calib[k][1][i] for i in target_idx] for k in keys])
-    rhs = np.empty(len(keys))
-    rhs_err = np.empty(len(keys))
-    for row, k in enumerate(keys):
-        rest = r_vals[k]
-        err = r_errs[k]
-        for nm, c in zip(names, calib[k][1]):
+            rest, err = est.mean, est.stderr
+        for nm, c in zip(names, calib[key][1]):
             if nm not in KEMPE_TARGETS:
                 rest -= c * known[nm]
                 err += abs(c) * _monomial_error(nm, known, known_err)
-        rhs[row] = rest
-        rhs_err[row] = err
+        rhs[row], rhs_err[row] = rest, err
     targets, *_ = np.linalg.lstsq(theta, rhs, rcond=None)
     target_vals = dict(zip(KEMPE_TARGETS, targets))
-    theta_inv = np.linalg.pinv(theta)
     target_errs = dict(zip(KEMPE_TARGETS, np.abs(theta_inv) @ rhs_err))
 
     estimate = (

@@ -182,6 +182,25 @@ def test_seeded_output_is_byte_identical(tmp_path):
     pytest.param(["twirl", "--observable", "{odet}", "--t", "7"], None, id="twirl-t-above-max"),
     pytest.param(["twirl", "--observable", "{xxx}", "--t", "4"], cli.EXIT_BAD_INPUT,
                  id="twirl-three-party-t-4"),
+    # a twirl needs two or three parties: one factor used to raise
+    # IndexError, four factors gave a table that ignored the fourth
+    pytest.param(["twirl", "--observable", "{x}", "--t", "2"], cli.EXIT_BAD_INPUT,
+                 id="twirl-one-party"),
+    pytest.param(["twirl", "--observable", "{xxxx}", "--t", "2"], cli.EXIT_BAD_INPUT,
+                 id="twirl-four-party"),
+    # a non-finite drift or a negative change cost used to exit 0 with garbage
+    pytest.param(["simulate", "--state", "{bell}", "--invariant", "det", "--drift", "nan",
+                  "--drift-cost", "10"], None, id="simulate-drift-nan"),
+    pytest.param(["simulate", "--state", "{bell}", "--invariant", "det", "--drift", "inf"], None,
+                 id="simulate-drift-inf"),
+    pytest.param(["simulate", "--state", "{bell}", "--invariant", "det", "--drift", "0.001",
+                  "--drift-cost", "-5"], None, id="simulate-drift-cost-negative"),
+    pytest.param(["simulate", "--state", "{bell}", "--invariant", "det", "--drift", "fast"], None,
+                 id="simulate-drift-not-a-number"),
+    pytest.param(["verify", "--claim", "gram_values", "--workers", "0"], None,
+                 id="verify-workers-0"),
+    pytest.param(["verify", "--claim", "gram_values", "--workers", "-1"], None,
+                 id="verify-workers-negative"),
     pytest.param(["mc", "--observable", "{odet}", "--state", "{bell}", "--t", "3",
                   "--samples", "0"], None, id="mc-samples-0"),
     pytest.param(["mc", "--observable", "{odet}", "--state", "{bell}", "--t", "-1"], None,
@@ -191,11 +210,12 @@ def test_seeded_output_is_byte_identical(tmp_path):
 def test_malformed_flags_are_rejected(tmp_path, capsys, argv, code):
     # argparse rejects a malformed flag with SystemExit(2) and a usage message;
     # input the parser cannot see exits EXIT_BAD_INPUT with an error line
-    files = {"bell": tmp_path / "bell.json", "odet": tmp_path / "odet.json",
-             "xxx": tmp_path / "xxx.json"}
+    files = {"bell": tmp_path / "bell.json", "odet": tmp_path / "odet.json"}
     run(["state-gen", "--kind", "bell", "--out", str(files["bell"])])
     files["odet"].write_text(json.dumps(odet_doc()))
-    files["xxx"].write_text(json.dumps(observable_to_json([[X, X, X]])))
+    for name in ("x", "xxx", "xxxx"):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(observable_to_json([[X] * len(name)])))
     capsys.readouterr()
     argv = [a.format(**files) for a in argv]
     if code is None:

@@ -56,6 +56,18 @@ def test_simulate_rejects_bad_config():
         ps.ProtocolConfig(0, 10, 2)
 
 
+@pytest.mark.parametrize("drift_rate, cost", [
+    (1e-3, -5), (np.nan, 10), (np.inf, 0), (-np.inf, 0), (np.nan, 0),
+])
+def test_protocol_config_rejects_silent_garbage_drift(drift_rate, cost):
+    # a NaN or infinite rate makes every copy's probabilities NaN, and a
+    # negative cost runs the drift clock backwards across setting changes
+    with pytest.raises(ValueError):
+        ps.ProtocolConfig(10, 10, 3, drift_rate=drift_rate, setting_change_cost=cost)
+    # a finite rate of either sign drifts; no cost is a valid plan
+    ps.ProtocolConfig(10, 10, 3, drift_rate=-1e-3, setting_change_cost=0)
+
+
 def test_calibrations_are_exact():
     # every pipeline dictionary spans its moment: calibrate() raises otherwise
     for name in ps.TABLE_ROWS:
@@ -137,6 +149,13 @@ def test_padded_moment_is_marginal_moment(pair):
             ), name
 
 
+def test_kempe_linear_system_is_cached_read_only():
+    calib, theta, theta_inv = ps._kempe_calibration()
+    assert theta.shape == (len(calib), len(ps.KEMPE_TARGETS))
+    assert not theta.flags.writeable and not theta_inv.flags.writeable
+    np.testing.assert_array_equal(theta_inv, np.linalg.pinv(theta))
+
+
 def test_kempe_exact_on_maximally_mixed():
     rep = ps.recover_kempe(bloch_from_density(maximally_mixed(3)))
     assert rep.estimate == pytest.approx(1.0 / 8.0, abs=1e-10)
@@ -193,22 +212,46 @@ def test_simulate_rejects_non_product_terms():
         ps.simulate_moment([[I, I]], bloch_from_density(ghz_state()), cfg)
 
 
+def _sample_rows(probs, draws):
+    """Reference: inverse-CDF outcome index per row of ``probs``, the last
+    CDF entry pinned to 1."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf[:, -1] = 1.0
+    return (draws[:, None] > cdf).sum(axis=1)
+
+
 def test_sampled_outcome_in_range_when_cdf_ends_below_one():
     # normalized rows whose cumulative sum rounds to below the largest
-    # uniform draw, 1 - 2^-53
+    # uniform draw, 1 - 2^-53; the sampler takes one plane per outcome
     probs = np.random.default_rng(7).random((4000, 4))
     probs /= probs.sum(axis=1, keepdims=True)
     cdf = np.cumsum(probs, axis=1)
     top = np.nextafter(1.0, 0.0)
     short = cdf[:, -1] < top
     assert short.any()
-    outcomes = ps._sample_outcomes(probs[short], np.full(int(short.sum()), top))
+    outcomes = ps._sample_outcomes(probs[short].T, np.full(int(short.sum()), top))
     np.testing.assert_array_equal(outcomes, 3)
     # draws inside every row's rounded range sample exactly as before
     draws = np.random.default_rng(8).uniform(size=len(probs)) * cdf[:, -1]
     np.testing.assert_array_equal(
-        ps._sample_outcomes(probs, draws), (draws[:, None] > cdf).sum(axis=1)
+        ps._sample_outcomes(probs.T, draws), (draws[:, None] > cdf).sum(axis=1)
     )
+    np.testing.assert_array_equal(ps._sample_outcomes(probs.T, draws), _sample_rows(probs, draws))
+
+
+@pytest.mark.parametrize("outcomes", (2, 4, 8))
+def test_plane_normalisation_is_the_row_sum_bit_for_bit(outcomes):
+    # clipped rows as the drifted sampler sees them, with all-zero rows
+    # (0/0 gives NaN on both sides) and rows with a single nonzero entry
+    rng = np.random.default_rng(outcomes)
+    probs = np.clip(rng.normal(0.2, 0.4, size=(100_000, outcomes)), 0.0, None)
+    probs[::97] = 0.0
+    probs[1::89, 1:] = 0.0
+    with np.errstate(invalid="ignore"):
+        expected = probs / probs.sum(axis=1, keepdims=True)
+        planes = ps._normalised(probs.copy().T)
+    assert np.isnan(expected).any()
+    np.testing.assert_array_equal(planes.T.view(np.int64), expected.view(np.int64))
 
 
 def _dense_undrifted_trace(terms, rho, cfg, label):
@@ -284,7 +327,7 @@ def _dense_drifted_trace(terms, rho, cfg, label):
             proj = np.array([kron_all(list(f)) for f in product(*(r[k] for r in rot))])
             probs = np.clip(np.real(np.einsum("oji,sij->so", proj, rho_s)), 0.0, None)
             probs /= probs.sum(axis=1, keepdims=True)
-            trace[k, j] = lam_prod[ps._sample_outcomes(probs, rng.uniform(size=m))].mean()
+            trace[k, j] = lam_prod[_sample_rows(probs, rng.uniform(size=m))].mean()
     return trace
 
 
@@ -314,3 +357,66 @@ def test_drift_expansion_matches_dense_born_rule(qubits):
         u = kron_all([ui[i] for ui in us])
         born = np.real(np.diag(u @ d[i] @ rho @ d[i].conj().T @ u.conj().T))
         assert np.max(np.abs(np.real(np.diag(u @ drifted @ u.conj().T)) - born)) <= 1e-13
+
+
+def _vander_drifted_setting(rng, table, lam_prod, cfg, setting, n_set, seen=None):
+    """Reference: the row-major drifted sampler, with each copy's powers
+    from np.vander, row sums over its outcomes and blocks of 2^15 copies.
+    Each block's normalised probabilities, (frames, shots, outcomes), are
+    appended to ``seen``."""
+    k_count, m = cfg.unitary_count, cfg.shots_per_setting
+    columns = table.shape[2]
+    block = m + cfg.setting_change_cost
+    shot_idx = np.arange(m)
+    step = max(1, (1 << 15) // m)
+    out = np.empty(k_count)
+    for k0 in range(0, k_count, step):
+        ks = np.arange(k0, min(k0 + step, k_count))
+        counters = ((ks[:, None] * n_set + setting) * block
+                    + cfg.setting_change_cost + shot_idx)
+        half = (cfg.drift_rate * counters).ravel() / 2.0
+        weights = np.vander(np.cos(half), columns) * np.vander(np.sin(half), columns,
+                                                               increasing=True)
+        probs = np.clip(weights.reshape(len(ks), m, columns) @ table[ks].transpose(0, 2, 1),
+                        0.0, None)
+        probs /= probs.sum(axis=2, keepdims=True)
+        if seen is not None:
+            seen.append(probs.copy())
+        draws = rng.uniform(size=len(ks) * m)
+        picked = _sample_rows(probs.reshape(len(ks) * m, -1), draws)
+        out[ks] = lam_prod[picked].reshape(len(ks), m).mean(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("terms, rho", [
+    (ODET_TERMS, random_state("mixed", 2, 81)),
+    ([[I + Z, Z], [X, Y]], random_state("pure", 2, 82)),
+    ([[X, Z, Y], [I + Z, X, Z], [Z, Z, Z]], random_state("mixed", 3, 83)),
+    ([[Z, I, I + Z]], random_state("pure", 3, 84)),
+])
+@pytest.mark.parametrize("frames, shots, cost", [
+    (200, 100, 0),       # 200 frames: no multiple of either block step
+    (90, 700, 600),
+    (3, 9000, 7),        # one frame per block at 2^13 copies, three at 2^15
+    (2, 33_000, 40),     # more shots than 2^15: one frame per block
+])
+def test_drifted_trace_matches_vander_sampler(monkeypatch, terms, rho, frames, shots, cost):
+    # the traces agree exactly, and so do the normalised probabilities of
+    # every copy, which a rounding-level change would rarely show in a trace
+    cfg = ps.ProtocolConfig(frames, shots, 3, drift_rate=-7e-4, setting_change_cost=cost,
+                            seed=frames + shots)
+    planes, sample = [], ps._sample_outcomes
+
+    def spy(p, draws):
+        planes.append(np.moveaxis(p, 0, -1).copy())
+        return sample(p, draws)
+
+    monkeypatch.setattr(ps, "_sample_outcomes", spy)
+    _, trace = ps.simulate_moment(terms, rho, cfg, "vander-ref", collect_trace=True)
+    rows = []
+    monkeypatch.setattr(ps, "_drifted_setting",
+                        lambda *args: _vander_drifted_setting(*args, seen=rows))
+    _, expected = ps.simulate_moment(terms, rho, cfg, "vander-ref", collect_trace=True)
+    np.testing.assert_array_equal(trace.view(np.int64), expected.view(np.int64))
+    np.testing.assert_array_equal(np.concatenate(planes).view(np.int64),
+                                  np.concatenate(rows).view(np.int64))
