@@ -61,6 +61,25 @@ def _number(convert, accept, expected: str):
 _positive_int = _number(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
 _finite_float = _number(float, np.isfinite, "a finite number")
+_non_negative_float = _number(float, lambda v: np.isfinite(v) and v >= 0,
+                              "a finite non-negative number")
+
+
+def _attach_negative_numbers(argv) -> list:
+    """``--opt -5e-4`` as ``--opt=-5e-4``: argparse takes a negative number
+    for an option name unless it reads like -5 or -0.5."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
 
 
 def _load_json(path: str) -> dict:
@@ -153,6 +172,9 @@ def _cmd_twirl(args) -> int:
         raise InputError(f"twirl supports two- and three-party observables, got {parties}")
     if parties == 3 and args.t > 3:
         raise InputError(f"three-party twirl supports t <= 3, got t={args.t}")
+    state = _load_state(args.state) if args.state else None
+    if state is not None and (2 if isinstance(state, TwoQubitState) else 3) != parties:
+        raise DimensionError(f"a {parties}-party observable needs a {parties}-qubit state")
     obs = _coerce_observable(terms, weights, parties)
     coeffs = twirl.twirl_coefficients(obs, args.t)
     doc = {"t": args.t, "parties": parties}
@@ -167,8 +189,7 @@ def _cmd_twirl(args) -> int:
     if parties == 2:
         dec = twirl.decompose(coeffs, args.t, seed=args.seed)
         doc["decomposition"] = dec.as_dict()
-    if args.state:
-        state = _load_state(args.state)
+    if state is not None:
         doc["moment"] = coeffs.moment(state)
     _emit(doc, args.out)
     return EXIT_OK
@@ -262,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="tensor rank and det prefactor of an observable")
     p.add_argument("--observable", required=True)
-    p.add_argument("--rank-tolerance", type=float, default=1e-9)
+    p.add_argument("--rank-tolerance", type=_non_negative_float, default=1e-9)
     p.add_argument("--out", default="")
     p.set_defaults(func=_cmd_classify)
 
@@ -313,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -63,15 +63,17 @@ class TripartiteObservable:
         return out
 
 
+#: kron(P_mu, P_nu) of the normalized Pauli basis, at [mu, nu]
+_PAULI_PAIRS = np.array([[kron(a, b) for b in PAULIS_NORMALIZED] for a in PAULIS_NORMALIZED])
+
+
 def realign(o: np.ndarray) -> np.ndarray:
     """4x4 real coefficient matrix of O over the normalized Pauli basis."""
     o = np.asarray(o, dtype=complex)
     c = np.empty((4, 4))
     for mu in range(4):
         for nu in range(4):
-            c[mu, nu] = np.real(np.trace(
-                o @ kron(PAULIS_NORMALIZED[mu], PAULIS_NORMALIZED[nu])
-            ))
+            c[mu, nu] = np.real(np.trace(o @ _PAULI_PAIRS[mu, nu]))
     return c
 
 

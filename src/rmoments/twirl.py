@@ -35,6 +35,7 @@ vanishes.
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -149,26 +150,61 @@ def _trace_tensors(factors: np.ndarray, t: int) -> list:
     return tensors
 
 
-def _rhs_for_tuples(factors: np.ndarray, tuples: np.ndarray, perms) -> np.ndarray:
-    """rhs[n, col] = tr(F_{j1} x ... x F_{jt} V_pi) for every index tuple
-    and every pi of ``perms``."""
+@lru_cache(maxsize=None)
+def _cycle_plan(t: int, d: int) -> tuple:
+    """How the cycles of the commutant basis B of S_t build its columns.
+
+    Returns (groups, plan, widths, inverse).  ``groups`` holds, per cycle
+    length, the (count, length) slots of the distinct cycles of B; in that
+    order they number the cycles.  Row i of ``plan`` holds the numbers of
+    the cycles of the i-th element of B sorted by descending cycle count, in
+    ``cycles()`` order, so the first ``widths[j]`` rows are the elements
+    with more than j cycles.  ``inverse`` restores the order of B.
+    """
+    basis = sg.commutant_basis(t, d)
+    cycles = sorted({c for p in basis for c in p.cycles()}, key=lambda c: (len(c), c))
+    number = {c: i for i, c in enumerate(cycles)}
+    groups = [np.array(list(same)) for _, same in groupby(cycles, key=len)]
+    order = sorted(range(len(basis)), key=lambda b: -basis[b].num_cycles())
+    counts = [basis[b].num_cycles() for b in order]
+    plan = np.zeros((len(basis), counts[0]), dtype=np.intp)
+    for row, b in enumerate(order):
+        plan[row, :counts[row]] = [number[c] for c in basis[b].cycles()]
+    widths = [sum(n > j for n in counts) for j in range(counts[0])]
+    inverse = np.argsort(order)
+    for a in (*groups, plan, inverse):
+        a.setflags(write=False)
+    return groups, plan, widths, inverse
+
+
+#: index tuples per block of a right-hand side, so that a block's traces and
+#: products stay in cache
+_RHS_BLOCK = 256
+
+
+def _rhs_for_tuples(factors: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """rhs[n, b] = tr(F_{j1} x ... x F_{jt} V_b) for every index tuple and
+    every b of the commutant basis: the product over the cycles of b of one
+    trace each, taken in ``cycles()`` order starting from ones."""
+    groups, plan, widths, inverse = _cycle_plan(tuples.shape[1], factors.shape[1])
     tensors = _trace_tensors(factors, tuples.shape[1])
-    rhs = np.empty((tuples.shape[0], len(perms)), dtype=complex)
-    for col, p in enumerate(perms):
-        vals = np.ones(tuples.shape[0], dtype=complex)
-        for cyc in p.cycles():
-            idx = tuple(tuples[:, slot] for slot in cyc)
-            vals = vals * tensors[len(cyc) - 1][idx]
-        rhs[:, col] = vals
-    return rhs
-
-
-def _solve_tuples(factors: np.ndarray, tuples: np.ndarray, t: int):
-    """Basis coefficients of every index tuple's factor product, with the
-    largest solve residual."""
-    d = factors.shape[1]
-    rhs = _rhs_for_tuples(factors, tuples, sg.commutant_basis(t, d))
-    return _solve_basis(rhs, t, d)
+    rhs = np.empty((len(plan), len(tuples)), dtype=complex)
+    for start in range(0, len(tuples), _RHS_BLOCK):
+        slots = np.ascontiguousarray(tuples[start:start + _RHS_BLOCK].T)
+        # every distinct cycle's traces, one gather per cycle length from
+        # the flat index of its slots' factor indices
+        traces = []
+        for cycles in groups:
+            flat = slots[cycles[:, 0]]
+            for k in cycles.T[1:]:
+                flat = flat * len(factors) + slots[k]
+            traces.append(np.take(tensors[cycles.shape[1] - 1], flat))
+        traces = np.concatenate(traces)
+        vals = np.ones((len(plan), slots.shape[1]), dtype=complex)
+        for j, width in enumerate(widths):
+            vals[:width] *= traces[plan[:width, j]]
+        rhs[:, start:start + _RHS_BLOCK] = vals[inverse]
+    return rhs.T
 
 
 def solve_factor_coefficients(factors, t: int = None, d: int = 2) -> np.ndarray:
@@ -372,7 +408,8 @@ def twirl_coefficients(obs, t: int) -> TwirlCoefficients:
     else:
         raise TypeError(f"unsupported observable type {type(obs)!r}")
     tuples = _index_tuples(len(values), t)
-    solved = [_solve_tuples(np.stack(f), tuples, t) for f in per_party]
+    # basis coefficients of every index tuple's factor product, per party
+    solved = [_solve_basis(_rhs_for_tuples(np.stack(f), tuples), t, 2) for f in per_party]
     factors = [x for x, _ in solved]
     if len(factors) < parties:  # symmetric decomposition, B_j = A_j
         factors.append(factors[0])

@@ -206,12 +206,34 @@ def test_seeded_output_is_byte_identical(tmp_path):
     pytest.param(["mc", "--observable", "{odet}", "--state", "{bell}", "--t", "-1"], None,
                  id="mc-t-negative"),
     pytest.param(["verify", "--claim", "nope"], None, id="verify-unknown-claim"),
+    # a negative tolerance counted zero singular values, nan counted none
+    pytest.param(["classify", "--observable", "{odet}", "--rank-tolerance", "-1"], None,
+                 id="classify-tolerance-negative"),
+    pytest.param(["classify", "--observable", "{odet}", "--rank-tolerance", "nan"], None,
+                 id="classify-tolerance-nan"),
+    pytest.param(["simulate", "--state", "{bell}", "--invariant", "det", "--drift", "-inf"], None,
+                 id="simulate-drift-negative-inf"),
+    # a state whose party count differs from the observable's used to end
+    # in a ValueError traceback and exit 1
+    pytest.param(["twirl", "--observable", "{odet}", "--state", "{ghz}", "--t", "2"],
+                 cli.EXIT_DIMENSION, id="twirl-two-party-three-qubit-state"),
+    pytest.param(["twirl", "--observable", "{odet}", "--state", "{ghz_matrix}", "--t", "2"],
+                 cli.EXIT_DIMENSION, id="twirl-two-party-three-qubit-matrix"),
+    pytest.param(["twirl", "--observable", "{xxx}", "--state", "{bell}", "--t", "2"],
+                 cli.EXIT_DIMENSION, id="twirl-three-party-two-qubit-state"),
+    pytest.param(["twirl", "--observable", "{xxx}", "--state", "{bell_matrix}", "--t", "2"],
+                 cli.EXIT_DIMENSION, id="twirl-three-party-two-qubit-matrix"),
 ))
 def test_malformed_flags_are_rejected(tmp_path, capsys, argv, code):
     # argparse rejects a malformed flag with SystemExit(2) and a usage message;
     # input the parser cannot see exits EXIT_BAD_INPUT with an error line
-    files = {"bell": tmp_path / "bell.json", "odet": tmp_path / "odet.json"}
-    run(["state-gen", "--kind", "bell", "--out", str(files["bell"])])
+    files = {"odet": tmp_path / "odet.json"}
+    for kind, qubits in (("bell", "2"), ("ghz", "3")):
+        for form in ("bloch", "matrix"):
+            name = kind if form == "bloch" else f"{kind}_{form}"
+            files[name] = tmp_path / f"{name}.json"
+            run(["state-gen", "--kind", kind, "--qubits", qubits, "--format", form,
+                 "--out", str(files[name])])
     files["odet"].write_text(json.dumps(odet_doc()))
     for name in ("x", "xxx", "xxxx"):
         files[name] = tmp_path / f"{name}.json"
@@ -227,6 +249,20 @@ def test_malformed_flags_are_rejected(tmp_path, capsys, argv, code):
         assert run(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_negative_drift_in_exponent_notation(tmp_path):
+    # argparse reads -5e-4 as an option name unless it is attached with "="
+    state = tmp_path / "bell.json"
+    run(["state-gen", "--kind", "bell", "--out", str(state)])
+    outs = []
+    for flag in (["--drift", "-5e-4"], ["--drift=-5e-4"], ["--drift", "-0.0005"]):
+        out = tmp_path / f"sim{len(outs)}.json"
+        assert run(["simulate", "--state", str(state), "--invariant", "det",
+                    "--unitaries", "20", "--shots", "50", "--drift-cost", "10",
+                    "--seed", "3", *flag, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_state_gen_accepted_everywhere(tmp_path):

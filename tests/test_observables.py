@@ -59,6 +59,18 @@ def test_rank_lu_invariant(rng):
         np.testing.assert_allclose(np.sort(rotated.s), np.sort(o.s), atol=1e-9)
 
 
+def test_realign_matches_per_call_kron(rng):
+    # the cached Pauli pairs give the same matmul and trace per entry
+    for o in [obs.pauli_sum_observable(), obs.hodge_observable()] + [
+            obs.random_rank_observable(rng, rank).matrix() for rank in (1, 2, 3, 4)]:
+        want = np.empty((4, 4))
+        for mu in range(4):
+            for nu in range(4):
+                want[mu, nu] = np.real(np.trace(
+                    o @ kron(PAULIS_NORMALIZED[mu], PAULIS_NORMALIZED[nu])))
+        assert np.array_equal(obs.realign(o).view(np.uint64), want.view(np.uint64))
+
+
 def test_traceless_projection():
     np.testing.assert_allclose(obs.traceless_projection(3.7 * I), np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(obs.traceless_projection(PAULIS_NORMALIZED[1]), [1, 0, 0], atol=1e-12)

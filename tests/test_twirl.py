@@ -643,17 +643,23 @@ def _ref_trace_tensors(factors, t):
     return tensors
 
 
-def _ref_solve(factors, tuples, t):
-    """Minimum-norm coefficients over all of S_t: rhs over every
-    permutation, times the pseudo-inverse of the full Gram matrix."""
-    tensors = _ref_trace_tensors(factors, t)
-    perms = sg.enumerate_group(t)
+def _ref_rhs(factors, tuples, perms):
+    """rhs[n, col] = tr(F_{j1} x ... x F_{jt} V_pi) for every pi of
+    ``perms``: one permutation at a time, one cycle at a time."""
+    tensors = _ref_trace_tensors(factors, tuples.shape[1])
     rhs = np.empty((len(tuples), len(perms)), dtype=complex)
     for col, p in enumerate(perms):
         vals = np.ones(len(tuples), dtype=complex)
         for cyc in p.cycles():
             vals = vals * tensors[len(cyc) - 1][tuple(tuples[:, slot] for slot in cyc)]
         rhs[:, col] = vals
+    return rhs
+
+
+def _ref_solve(factors, tuples, t):
+    """Minimum-norm coefficients over all of S_t: rhs over every
+    permutation, times the pseudo-inverse of the full Gram matrix."""
+    rhs = _ref_rhs(factors, tuples, sg.enumerate_group(t))
     gram, pinv, _ = _ref_gram(t)
     x = _times_real(rhs, pinv)
     assert np.max(np.abs(_times_real(x, gram) - rhs)) <= twirl.SOLVE_RESIDUAL_TOL
@@ -753,6 +759,43 @@ def _engine_cases(rng):
                 [tuple(random_hermitian(rng) for _ in range(3)) for _ in range(terms)],
                 rng.uniform(0.5, 1.5, terms),
             )
+
+
+def _bits(z):
+    # a view of a non-contiguous array would read the wrong words
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+def test_rhs_matches_per_permutation_loop(rng):
+    # the cycle plan reads each distinct cycle's traces once and multiplies
+    # them in cycles() order from ones, as the one-permutation loop does; at
+    # t = 6 the rank-3 and rank-4 tuples span several blocks, one partial
+    for t, obs in _engine_cases(rng):
+        if isinstance(obs, TripartiteObservable):
+            per_party = [[term[k] for term in obs.terms] for k in range(3)]
+            rank = len(obs.terms)
+        else:
+            per_party, rank = (obs.A, obs.B), obs.rank
+        tuples = twirl._index_tuples(rank, t)
+        for factors in map(np.stack, per_party):
+            got = twirl._rhs_for_tuples(factors, tuples)
+            want = _ref_rhs(factors, tuples, sg.commutant_basis(t))
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want)), (t, rank)
+
+
+def test_cycle_plan_covers_the_basis():
+    for t, distinct in zip(range(1, 7), (1, 3, 7, 17, 40, 104)):
+        basis = sg.commutant_basis(t)
+        groups, plan, widths, inverse = twirl._cycle_plan(t, 2)
+        cycles = [tuple(c) for g in groups for c in g]
+        assert len(cycles) == len(set(cycles)) == distinct
+        ordered = [basis[b] for b in np.argsort(inverse)]
+        assert [p.num_cycles() for p in ordered] == sorted(
+            (p.num_cycles() for p in basis), reverse=True)
+        for row, p in enumerate(ordered):
+            assert [cycles[i] for i in plan[row, :p.num_cycles()]] == list(p.cycles())
+            assert [row < w for w in widths] == [j < p.num_cycles() for j in range(len(widths))]
 
 
 def test_engine_matches_full_group_reference(rng):
