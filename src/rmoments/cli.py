@@ -94,7 +94,7 @@ def _load_state(path: str):
     doc = _load_json(path)
     try:
         return state_from_json(doc)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed state document {path}: {exc}") from exc
 
 

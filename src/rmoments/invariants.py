@@ -30,8 +30,8 @@ def cofactor3(m: np.ndarray) -> np.ndarray:
     return cof
 
 
-def _sign(x: float, tol: float = SIGN_TOL) -> int:
-    if abs(x) < tol:
+def _sign(x: float) -> int:
+    if abs(x) < SIGN_TOL:
         return 0
     return 1 if x > 0 else -1
 
@@ -76,7 +76,7 @@ class MakhlinRecord:
         return out
 
 
-def makhlin(state: TwoQubitState, sign_tol: float = SIGN_TOL) -> MakhlinRecord:
+def makhlin(state: TwoQubitState) -> MakhlinRecord:
     """Evaluate the full Makhlin record; accepts non-physical Bloch records."""
     a, b, T = state.alpha, state.beta, state.T
     Tt = T.T
@@ -96,12 +96,12 @@ def makhlin(state: TwoQubitState, sign_tol: float = SIGN_TOL) -> MakhlinRecord:
         I12=float(a @ T @ b),
         I13=float(a @ T @ Tt @ T @ b),
         I14=2.0 * float(a @ cofactor3(T) @ b),
-        I10=_sign(det3(a, TTt @ a, TTt @ TTt @ a), sign_tol),
-        I11=_sign(det3(b, TtT @ b, TtT @ TtT @ b), sign_tol),
-        I15=_sign(det3(a, TTt @ a, T @ b), sign_tol),
-        I16=_sign(det3(Tt @ a, b, TtT @ b), sign_tol),
-        I17=_sign(det3(Tt @ a, Tt @ TTt @ a, b), sign_tol),
-        I18=_sign(det3(a, T @ b, TTt @ T @ b), sign_tol),
+        I10=_sign(det3(a, TTt @ a, TTt @ TTt @ a)),
+        I11=_sign(det3(b, TtT @ b, TtT @ TtT @ b)),
+        I15=_sign(det3(a, TTt @ a, T @ b)),
+        I16=_sign(det3(Tt @ a, b, TtT @ b)),
+        I17=_sign(det3(Tt @ a, Tt @ TTt @ a, b)),
+        I18=_sign(det3(a, T @ b, TTt @ T @ b)),
     )
 
 

@@ -7,6 +7,7 @@ transposition on qubit factors, Hermitian checks and null spaces.
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+NULLSPACE_RCOND = 1e-9   # singular values below this fraction of the largest count as zero
 
 
 class DimensionError(ValueError):
@@ -58,11 +59,11 @@ def partial_transpose(m: np.ndarray, subsystem: int) -> np.ndarray:
     return t.reshape(m.shape)
 
 
-def nullspace(g: np.ndarray, rcond: float = 1e-9) -> np.ndarray:
+def nullspace(g: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space, one column per basis vector."""
     g = np.asarray(g, dtype=float)
     _, s, vt = np.linalg.svd(g)
-    rank = int(np.sum(s > rcond * s[0])) if s.size else 0
+    rank = int(np.sum(s > NULLSPACE_RCOND * s[0])) if s.size else 0
     return vt[rank:].T
 
 

@@ -36,8 +36,8 @@ class SchmidtObservable:
             out += w * kron(a, b)
         return out
 
-    def is_symmetric(self, tol: float = 1e-10) -> bool:
-        return all(np.max(np.abs(a - b)) <= tol for a, b in zip(self.A, self.B))
+    def is_symmetric(self) -> bool:
+        return all(np.max(np.abs(a - b)) <= 1e-10 for a, b in zip(self.A, self.B))
 
 
 @dataclass
@@ -177,11 +177,11 @@ def random_rank_observable(rng: np.random.Generator, rank: int) -> SchmidtObserv
     raise RuntimeError(f"failed to draw a rank-{rank} observable")
 
 
-def random_symmetric_observable(rng: np.random.Generator, rank: int,
-                                s_range=(0.3, 2.0)) -> SchmidtObservable:
-    """Random observable with a symmetric decomposition sum_j s_j A_j x A_j."""
+def random_symmetric_observable(rng: np.random.Generator, rank: int) -> SchmidtObservable:
+    """Random observable with a symmetric decomposition sum_j s_j A_j x A_j,
+    weights uniform in [0.3, 2)."""
     factors = random_orthonormal_hermitian(rng, rank)
-    s = rng.uniform(*s_range, rank)
+    s = rng.uniform(0.3, 2.0, rank)
     order = np.argsort(s)[::-1]
     return SchmidtObservable(
         s=s[order], A=[factors[j] for j in order], B=[factors[j] for j in order]
@@ -210,26 +210,11 @@ def rotated_pauli_sum(rng: np.random.Generator, s=None) -> SchmidtObservable:
 # JSON interchange format
 # ---------------------------------------------------------------------------
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
 def _matrix_from_json(doc) -> np.ndarray:
     raw = np.asarray(doc, dtype=float)
     if raw.shape != (2, 2, 2):
         raise ValueError("factor must be a 2x2 complex matrix as [re, im] pairs")
     return raw[..., 0] + 1j * raw[..., 1]
-
-
-def observable_to_json(terms, weights=None) -> dict:
-    """Serialize a list of product terms (each a list of 2x2 factors)."""
-    weights = [1.0] * len(terms) if weights is None else list(weights)
-    return {
-        "terms": [
-            {"weight": float(w), "factors": [_matrix_to_json(f) for f in term]}
-            for w, term in zip(weights, terms)
-        ]
-    }
 
 
 def observable_from_json(doc: dict):

@@ -1,4 +1,4 @@
-"""Pauli matrices and the multiplication table of the single-qubit Pauli group.
+"""Pauli matrices and the Pauli strings of qubit registers.
 
 Index convention throughout the package: 0 = identity, 1 = x, 2 = y, 3 = z.
 """
@@ -21,20 +21,6 @@ PAULIS = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
 # Orthonormal Hermitian basis {1/sqrt(2), sigma_x/sqrt(2), ...} with respect
 # to the Hilbert-Schmidt inner product tr(A B).
 PAULIS_NORMALIZED = PAULIS / np.sqrt(2.0)
-
-# sigma_a sigma_b = MULT_PHASE[a, b] * sigma_{MULT_IDX[a, b]}
-MULT_IDX = np.zeros((4, 4), dtype=np.int64)
-MULT_PHASE = np.zeros((4, 4), dtype=complex)
-for _a in range(4):
-    for _b in range(4):
-        _prod = PAULIS[_a] @ PAULIS[_b]
-        for _c in range(4):
-            _coeff = np.trace(PAULIS[_c].conj().T @ _prod) / 2.0
-            if abs(_coeff) > 0.5:
-                MULT_IDX[_a, _b] = _c
-                MULT_PHASE[_a, _b] = _coeff
-                break
-del _a, _b, _c, _prod, _coeff
 
 
 @lru_cache(maxsize=None)

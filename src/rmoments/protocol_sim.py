@@ -303,18 +303,6 @@ EXPECTED_SETTINGS = {
 }
 
 
-def eval_known(name: str, values: dict) -> float:
-    """Evaluate a dictionary monomial from recovered invariant values."""
-    if name == "1":
-        return 1.0
-    if name in values:
-        return float(values[name])
-    out = 1.0
-    for g in name.split("*"):
-        out *= values[g]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pipeline_engines(name: str):
     """Exact coefficient tables for each measurement setting group."""
@@ -390,7 +378,7 @@ def _evaluate(name: str, state, cfg: ProtocolConfig, pair: str, cache: dict):
     known_values, known_errs, settings = {}, {}, pipe.settings
     for pre in pipe.prerequisites:
         value, err, pre_settings = _evaluate(pre, state, cfg, pair, cache)
-        monomial = "I1*I1" if pre == "detsq" else pre
+        monomial = PIPELINES[pre].target
         known_values[monomial] = value
         known_errs[monomial] = err
         settings = max(settings, pre_settings)
@@ -398,7 +386,7 @@ def _evaluate(name: str, state, cfg: ProtocolConfig, pair: str, cache: dict):
     rest, err = _measure(name, state, cfg, pair, cache)
     for nm, c in zip(pipe.dictionary, coeffs):
         if nm != pipe.target and abs(c) > COEFF_NEGLIGIBLE:
-            rest -= c * eval_known(nm, known_values)
+            rest -= c * twirl.eval_monomial(nm, known_values)
             err += abs(c) * _monomial_error(nm, known_values, known_errs)
     target_c = coeffs[pipe.dictionary.index(pipe.target)]
     cache[key] = (float(rest / target_c), float(err / abs(target_c)), settings)
@@ -428,8 +416,7 @@ def recover_invariant(name: str, state, cfg: ProtocolConfig = None,
         invariant=name,
         estimate=estimate,
         stderr=stderr,
-        reference=float(rec.I1**2 if name == "detsq"
-                        else getattr(rec, {"det": "I1", "hodge": "I14"}.get(name, name))),
+        reference=float(rec.I1**2 if name == "detsq" else getattr(rec, PIPELINES[name].target)),
         settings_used=settings,
     )
 

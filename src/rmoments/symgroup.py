@@ -38,13 +38,6 @@ class Permutation:
     def size(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self o other: ``other`` acts first."""
-        return Permutation(tuple(self.images[j] for j in other.images))
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
         for i, j in enumerate(self.images):
@@ -85,26 +78,6 @@ class Permutation:
 
 def identity(t: int) -> Permutation:
     return Permutation(tuple(range(t)))
-
-
-def from_cycles(notation: str, t: int) -> Permutation:
-    """Parse 1-based cycle notation like ``(123)`` or ``(12)(34)``.
-
-    Only single-digit entries are supported, which covers t <= 6.
-    """
-    images = list(range(t))
-    body = notation.replace(" ", "")
-    if body in ("", "()"):
-        return Permutation(tuple(images))
-    if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"malformed cycle notation: {notation!r}")
-    for cyc in body[1:-1].split(")("):
-        entries = [int(ch) - 1 for ch in cyc]
-        if any(not 0 <= e < t for e in entries):
-            raise ValueError(f"entry out of range in {notation!r} for t={t}")
-        for a, b in zip(entries, entries[1:] + entries[:1]):
-            images[a] = b
-    return Permutation(tuple(images))
 
 
 def _canonical_key(p: Permutation):
@@ -238,7 +211,7 @@ def gram_matrix(t: int, d: int) -> GramMatrix:
     return GramMatrix(t=t, d=d, entries=gram_block(perms, perms, d))
 
 
-def kernel_basis(g: GramMatrix, rcond: float = 1e-9) -> np.ndarray:
+def kernel_basis(g: GramMatrix) -> np.ndarray:
     """Orthonormal basis of ker(G), one column per vector.
 
     Kernel vectors are exactly the coefficient vectors of linear
@@ -247,4 +220,4 @@ def kernel_basis(g: GramMatrix, rcond: float = 1e-9) -> np.ndarray:
     """
     from .linalg import nullspace
 
-    return nullspace(np.asarray(g.entries, dtype=float), rcond=rcond)
+    return nullspace(np.asarray(g.entries, dtype=float))

@@ -42,7 +42,7 @@ import numpy as np
 from . import symgroup as sg
 from .invariants import makhlin
 from .observables import SchmidtObservable, TripartiteObservable, schmidt_decompose
-from .paulis import MULT_IDX, MULT_PHASE
+from .paulis import PAULIS
 from .rng import substream
 from .states import (
     ThreeQubitState,
@@ -62,71 +62,22 @@ class EngineError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Pauli-string trace tables tr(s_{mu1} x ... x s_{mut} V_pi)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _digit_table(t: int) -> np.ndarray:
-    """digits[k, code] = mu_k of the big-endian base-4 code."""
-    codes = np.arange(4**t)
-    digits = np.empty((t, 4**t), dtype=np.int64)
-    rem = codes.copy()
-    for k in range(t - 1, -1, -1):
-        digits[k] = rem % 4
-        rem //= 4
-    return digits
-
-
-def _w_rows(perms, t: int) -> np.ndarray:
-    """W[row, code] = tr(s_{mu1} x ... x s_{mut} V_pi) for each pi of
-    ``perms`` and all Pauli strings.
-
-    Each entry is a product over cycles of single Pauli-string traces,
-    evaluated with the group multiplication table.
-    """
-    digits = _digit_table(t)
-    w = np.empty((len(perms), 4**t), dtype=complex)
-    for row, p in enumerate(perms):
-        total = np.ones(4**t, dtype=complex)
-        for cyc in p.cycles():
-            idx = digits[cyc[0]].copy()
-            phase = np.ones(4**t, dtype=complex)
-            for slot in cyc[1:]:
-                nxt = digits[slot]
-                phase *= MULT_PHASE[idx, nxt]
-                idx = MULT_IDX[idx, nxt]
-            total *= np.where(idx == 0, 2.0 * phase, 0.0)
-        w[row] = total
-    return w
-
-
-@lru_cache(maxsize=None)
-def _basis_w(t: int) -> tuple:
-    """(codes, rows): the Pauli-trace rows of the qubit commutant basis on
-    the 4^(t-1) Pauli strings whose product is proportional to the identity,
-    the support of every row."""
-    w = _w_rows(sg.commutant_basis(t, 2), t)
-    codes = np.flatnonzero(np.any(w != 0, axis=0))
-    return codes, np.ascontiguousarray(w[:, codes])
-
-
-# ---------------------------------------------------------------------------
 # Gram-system solves on the commutant basis
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _basis_gram(t: int, d: int):
-    """(G[B, B], cond G[B, B]) for the commutant basis B of S_t."""
-    basis = sg.commutant_basis(t, d)
-    gram = sg.gram_block(basis, basis, d).astype(float)
+def _basis_gram(t: int):
+    """(G[B, B], cond G[B, B]) for the qubit commutant basis B of S_t."""
+    basis = sg.commutant_basis(t)
+    gram = sg.gram_block(basis, basis, 2).astype(float)
     gram.setflags(write=False)
     return gram, float(np.linalg.cond(gram))
 
 
-def _solve_basis(rhs: np.ndarray, t: int, d: int):
+def _solve_basis(rhs: np.ndarray, t: int):
     """Coefficients x[n] over B with G[B, B] x[n] = rhs[n]; returns the
     solutions and the largest absolute residual."""
-    gram, _ = _basis_gram(t, d)
+    gram, _ = _basis_gram(t)
     b = np.ascontiguousarray(rhs.T, dtype=complex)
     x = np.ascontiguousarray(np.linalg.solve(gram, b))
     # G[B, B] is real: one real product over the interleaved real and
@@ -151,7 +102,7 @@ def _trace_tensors(factors: np.ndarray, t: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _cycle_plan(t: int, d: int) -> tuple:
+def _cycle_plan(t: int) -> tuple:
     """How the cycles of the commutant basis B of S_t build its columns.
 
     Returns (groups, plan, widths, inverse).  ``groups`` holds, per cycle
@@ -161,7 +112,7 @@ def _cycle_plan(t: int, d: int) -> tuple:
     ``cycles()`` order, so the first ``widths[j]`` rows are the elements
     with more than j cycles.  ``inverse`` restores the order of B.
     """
-    basis = sg.commutant_basis(t, d)
+    basis = sg.commutant_basis(t)
     cycles = sorted({c for p in basis for c in p.cycles()}, key=lambda c: (len(c), c))
     number = {c: i for i, c in enumerate(cycles)}
     groups = [np.array(list(same)) for _, same in groupby(cycles, key=len)]
@@ -186,7 +137,7 @@ def _rhs_for_tuples(factors: np.ndarray, tuples: np.ndarray) -> np.ndarray:
     """rhs[n, b] = tr(F_{j1} x ... x F_{jt} V_b) for every index tuple and
     every b of the commutant basis: the product over the cycles of b of one
     trace each, taken in ``cycles()`` order starting from ones."""
-    groups, plan, widths, inverse = _cycle_plan(tuples.shape[1], factors.shape[1])
+    groups, plan, widths, inverse = _cycle_plan(tuples.shape[1])
     tensors = _trace_tensors(factors, tuples.shape[1])
     rhs = np.empty((len(plan), len(tuples)), dtype=complex)
     for start in range(0, len(tuples), _RHS_BLOCK):
@@ -207,21 +158,30 @@ def _rhs_for_tuples(factors: np.ndarray, tuples: np.ndarray) -> np.ndarray:
     return rhs.T
 
 
-def solve_factor_coefficients(factors, t: int = None, d: int = 2) -> np.ndarray:
-    """Minimum-norm coefficients x over S_t with sum_pi x_pi V_pi the Haar
-    average of F_1 x ... x F_t over simultaneous rotations.
+@lru_cache(maxsize=None)
+def _basis_w(t: int) -> tuple:
+    """(codes, rows): W_B[b, code] = tr(s_{mu1} x ... x s_{mut} V_b), the
+    right-hand sides of the 4^t Pauli strings, kept on the 4^(t-1) strings
+    whose product is proportional to the identity, the support of every row."""
+    w = _rhs_for_tuples(PAULIS, _index_tuples(4, t)).T
+    codes = np.flatnonzero(np.any(w != 0, axis=0))
+    return codes, np.ascontiguousarray(w[:, codes])
+
+
+def solve_factor_coefficients(factors) -> np.ndarray:
+    """Minimum-norm coefficients x over S_t, t = len(factors), with
+    sum_pi x_pi V_pi the Haar average of F_1 x ... x F_t over simultaneous
+    rotations.
 
     Any kernel shift of the result represents the same operator.
     """
     factors = [np.asarray(f, dtype=complex) for f in factors]
-    t = len(factors) if t is None else t
-    if len(factors) != t:
-        raise ValueError("need one factor per tensor slot")
-    if any(f.shape != (d, d) for f in factors):
-        raise ValueError(f"factors must be {d}x{d} matrices")
-    rhs = np.array([sg.trace_with_v(factors, p) for p in sg.commutant_basis(t, d)])
-    x, _ = _solve_basis(rhs[None, :], t, d)
-    return _embedding(t, d, False) @ x[0]
+    t = len(factors)
+    if any(f.shape != (2, 2) for f in factors):
+        raise ValueError("factors must be 2x2 matrices")
+    rhs = np.array([sg.trace_with_v(factors, p) for p in sg.commutant_basis(t)])
+    x, _ = _solve_basis(rhs[None, :], t)
+    return _embedding(t, False) @ x[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,44 +203,44 @@ REDUCED_SUPPORT_T4 = (
 
 
 @lru_cache(maxsize=None)
-def _gauge_shift(t: int, d: int):
+def _gauge_shift(t: int):
     """Pair (rows, shift) such that x + shift @ x[rows] zeroes the
     designated coefficients while staying in the solution set."""
     perms = sg.enumerate_group(t)
     index = {p.cycle_string(): i for i, p in enumerate(perms)}
     rows = np.array([index[name] for name in GAUGE_ZEROS[t]])
-    kernel = sg.kernel_basis(sg.gram_matrix(t, d))
+    kernel = sg.kernel_basis(sg.gram_matrix(t, 2))
     if kernel.shape[1] != len(rows):
         raise EngineError("kernel dimension does not match gauge constraint count")
     shift = -kernel @ np.linalg.inv(kernel[rows, :])
     return rows, shift
 
 
-def gauge_fix(x: np.ndarray, t: int, d: int = 2) -> np.ndarray:
+def gauge_fix(x: np.ndarray, t: int) -> np.ndarray:
     """Shift a Gram-system solution by kernel vectors so the designated
     coefficients vanish (t = 3: the long 3-cycle; t = 4: seven 3-cycles and
     the double transpositions)."""
     if t not in GAUGE_ZEROS:
         return np.asarray(x)
-    rows, shift = _gauge_shift(t, d)
+    rows, shift = _gauge_shift(t)
     x = np.asarray(x, dtype=complex)
     return x + x[..., rows] @ shift.T
 
 
 @lru_cache(maxsize=None)
-def _embedding(t: int, d: int, reduced: bool) -> np.ndarray:
+def _embedding(t: int, reduced: bool) -> np.ndarray:
     """Real (t!, |B|) map from basis coefficients to a full S_t solution:
     the minimum-norm one or, with ``reduced``, the gauge-fixed one."""
     perms = sg.enumerate_group(t)
     index = {p: i for i, p in enumerate(perms)}
-    basis = sg.commutant_basis(t, d)
+    basis = sg.commutant_basis(t)
     emb = np.zeros((len(perms), len(basis)))
     emb[[index[b] for b in basis], np.arange(len(basis))] = 1.0
     if len(basis) < len(perms):
-        kernel = sg.kernel_basis(sg.gram_matrix(t, d))
+        kernel = sg.kernel_basis(sg.gram_matrix(t, 2))
         emb -= kernel @ (kernel.T @ emb)
         if reduced and t in GAUGE_ZEROS:
-            rows, shift = _gauge_shift(t, d)
+            rows, shift = _gauge_shift(t)
             emb += shift @ emb[rows]
     emb.setflags(write=False)
     return emb
@@ -323,7 +283,7 @@ class TwirlCoefficients:
     def dense(self, gauge: bool = False) -> np.ndarray:
         """Full coefficient table over S_t^parties: the minimum-norm table,
         or with ``gauge`` the reduced-gauge table of every party."""
-        emb = _embedding(self.t, 2, gauge)
+        emb = _embedding(self.t, gauge)
         cols = [f @ emb.T for f in self.factors]
         if self.parties == 2:
             return cols[0].T @ cols[1]
@@ -409,12 +369,12 @@ def twirl_coefficients(obs, t: int) -> TwirlCoefficients:
         raise TypeError(f"unsupported observable type {type(obs)!r}")
     tuples = _index_tuples(len(values), t)
     # basis coefficients of every index tuple's factor product, per party
-    solved = [_solve_basis(_rhs_for_tuples(np.stack(f), tuples), t, 2) for f in per_party]
+    solved = [_solve_basis(_rhs_for_tuples(np.stack(f), tuples), t) for f in per_party]
     factors = [x for x, _ in solved]
     if len(factors) < parties:  # symmetric decomposition, B_j = A_j
         factors.append(factors[0])
     factors[0] = np.prod(np.asarray(values)[tuples], axis=1)[:, None] * factors[0]
-    gram, cond = _basis_gram(t, 2)
+    gram, cond = _basis_gram(t)
     if parties == 2 and len(tuples) > len(gram):
         factors = [np.eye(len(gram)), factors[0].T @ factors[1]]
     diagnostics = EngineDiagnostics(basis_size=len(gram), gram_condition=cond,
@@ -458,20 +418,23 @@ def dictionary_for(t: int) -> tuple:
     return tuple(sorted(set(names), key=lambda n: (n != "1", n)))
 
 
+def eval_monomial(name: str, values: dict) -> float:
+    """Evaluate a dictionary monomial from invariant values, taking a value
+    stored under the monomial's own name as it is."""
+    if name == "1":
+        return 1.0
+    if name in values:
+        return float(values[name])
+    out = 1.0
+    for g in name.split("*"):
+        out *= values[g]
+    return out
+
+
 def eval_monomials(names, state: TwoQubitState) -> np.ndarray:
     """Evaluate dictionary monomials on one Bloch record."""
-    record = makhlin(state)
-    vals = record.continuous()
-    out = np.empty(len(names))
-    for i, name in enumerate(names):
-        if name == "1":
-            out[i] = 1.0
-        else:
-            v = 1.0
-            for g in name.split("*"):
-                v *= vals[g]
-            out[i] = v
-    return out
+    values = makhlin(state).continuous()
+    return np.array([eval_monomial(name, values) for name in names])
 
 
 @dataclass
@@ -505,7 +468,7 @@ def _fit_states(count: int, seed: int, label: str) -> list:
     return [random_bloch_record(2, rng) for _ in range(count)]
 
 
-def decompose(obs, t: int, dictionary=None, seed: int = 20240, n_states: int = None) -> MomentDecomposition:
+def decompose(obs, t: int, dictionary=None, seed: int = 20240) -> MomentDecomposition:
     """Least-squares expansion of the exact moment over an invariant
     dictionary, fitted on random (generally non-physical) Bloch records.
 
@@ -514,8 +477,7 @@ def decompose(obs, t: int, dictionary=None, seed: int = 20240, n_states: int = N
     """
     names = tuple(dictionary) if dictionary is not None else dictionary_for(t)
     coeffs = twirl_coefficients(obs, t) if not isinstance(obs, TwirlCoefficients) else obs
-    n = n_states if n_states is not None else max(3 * len(names), 24)
-    states = _fit_states(n, seed, f"decompose-t{t}-{len(names)}")
+    states = _fit_states(max(3 * len(names), 24), seed, f"decompose-t{t}-{len(names)}")
     design = np.array([eval_monomials(names, s) for s in states])
     return fit(names, design, coeffs.moments(states))
 
@@ -532,12 +494,12 @@ def odd_part(obs, state, t: int) -> float:
     return (coeffs.moment(state) - coeffs.moment(partial_transpose_bloch(state))) / 2.0
 
 
-def odd_fit(obs, t: int, seed: int = 31400, n_states: int = 12):
+def odd_fit(obs, t: int):
     """Fit the PT-odd part over {det T, Hodge}; returns a decomposition
     whose names are ("I1", "I14")."""
     names = ("I1", "I14")
     coeffs = twirl_coefficients(obs, t) if not isinstance(obs, TwirlCoefficients) else obs
-    states = _fit_states(n_states, seed, f"oddfit-t{t}")
+    states = _fit_states(12, 31400, f"oddfit-t{t}")
     design = np.array([eval_monomials(names, s) for s in states])
     return fit(names, design, np.array([odd_part(coeffs, s, t) for s in states]))
 
@@ -546,7 +508,7 @@ def odd_fit(obs, t: int, seed: int = 31400, n_states: int = 12):
 # Tripartite coefficient classes (Kempe analysis)
 # ---------------------------------------------------------------------------
 
-def chat_vector(coeffs: TwirlCoefficients, tol: float = 1e-10) -> np.ndarray:
+def chat_vector(coeffs: TwirlCoefficients) -> np.ndarray:
     """Aggregated transposition-class sums of a three-party twirl at t = 3.
 
     The five classes track, in order, the coefficients multiplying
@@ -571,6 +533,6 @@ def chat_vector(coeffs: TwirlCoefficients, tol: float = 1e-10) -> np.ndarray:
         for a in swaps for b in swaps for c in swaps
         if len({a, b, c}) == 3
     )
-    if np.max(np.abs(total.imag)) > tol:
+    if np.max(np.abs(total.imag)) > 1e-10:
         raise EngineError("aggregated class sums have imaginary residue")
     return total.real

@@ -4,6 +4,22 @@ import pytest
 from rmoments.states import bell_state, bloch_from_density, ghz_state
 
 
+def _matrix_to_json(m) -> list:
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def observable_to_json(terms, weights=None) -> dict:
+    """Serialize a list of product terms (each a list of 2x2 factors) in the
+    term-list format that ``observables.observable_from_json`` reads."""
+    weights = [1.0] * len(terms) if weights is None else list(weights)
+    return {
+        "terms": [
+            {"weight": float(w), "factors": [_matrix_to_json(f) for f in term]}
+            for w, term in zip(weights, terms)
+        ]
+    }
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
+from conftest import observable_to_json
 from rmoments import cli
-from rmoments.observables import observable_to_json
 from rmoments.paulis import PAULIS
 
 I, X, Y, Z = PAULIS
@@ -132,10 +132,27 @@ def test_verify_single_claim(tmp_path, capsys):
     assert doc["passed"] is True
 
 
-def test_malformed_json_exit_code(tmp_path):
+def test_malformed_json_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["invariants", "--state", str(bad)]) == cli.EXIT_BAD_INPUT
+    # valid JSON of the wrong shape is malformed input too, not a traceback
+    obs = tmp_path / "odet.json"
+    obs.write_text(json.dumps(odet_doc()))
+    zero, eye = [0.0] * 3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    docs = ([1, 2],
+            {"qubits": [2], "alpha": zero, "beta": zero, "T": eye},
+            {"qubits": 2, "alpha": {"a": 1}, "beta": zero, "T": eye})
+    for i, doc in enumerate(docs):
+        state = tmp_path / f"state{i}.json"
+        state.write_text(json.dumps(doc))
+        for argv in (["invariants"],
+                     ["twirl", "--observable", str(obs), "--t", "2"],
+                     ["mc", "--observable", str(obs), "--t", "2", "--samples", "10"],
+                     ["simulate", "--invariant", "I2", "--exact"]):
+            capsys.readouterr()
+            assert run(argv + ["--state", str(state)]) == cli.EXIT_BAD_INPUT, (doc, argv)
+            assert capsys.readouterr().err.startswith("error: malformed state document")
 
 
 def test_dimension_mismatch_exit_code(tmp_path):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import observable_to_json
 from rmoments import observables as obs
 from rmoments.haar_mc import haar_su2
 from rmoments.linalg import kron
@@ -128,7 +129,7 @@ def test_rotated_pauli_sum_symmetric(rng):
 def test_observable_json_roundtrip(rng):
     terms = [[obs.random_hermitian(rng), obs.random_hermitian(rng)] for _ in range(3)]
     weights = [1.0, -0.5, 2.0]
-    doc = json.loads(json.dumps(obs.observable_to_json(terms, weights)))
+    doc = json.loads(json.dumps(observable_to_json(terms, weights)))
     back_terms, back_weights = obs.observable_from_json(doc)
     np.testing.assert_allclose(back_weights, weights)
     np.testing.assert_allclose(

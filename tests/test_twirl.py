@@ -43,6 +43,57 @@ def joint_v(pa, pb, t):
     return sg.v_matrix(sg.Permutation(tuple(images)), 2)
 
 
+def _pauli_product_table():
+    """(idx, phase) with s_a s_b = phase[a, b] s_{idx[a, b]}."""
+    idx = np.zeros((4, 4), dtype=np.int64)
+    phase = np.zeros((4, 4), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            prod = PAULIS[a] @ PAULIS[b]
+            for c in range(4):
+                coeff = np.trace(PAULIS[c].conj().T @ prod) / 2.0
+                if abs(coeff) > 0.5:
+                    idx[a, b], phase[a, b] = c, coeff
+                    break
+    return idx, phase
+
+
+MULT_IDX, MULT_PHASE = _pauli_product_table()
+
+
+@lru_cache(maxsize=None)
+def _digit_table(t):
+    """digits[k, code] = mu_k of the big-endian base-4 code."""
+    codes = np.arange(4**t)
+    digits = np.empty((t, 4**t), dtype=np.int64)
+    rem = codes.copy()
+    for k in range(t - 1, -1, -1):
+        digits[k] = rem % 4
+        rem //= 4
+    return digits
+
+
+def _w_rows(perms, t):
+    """W[row, code] = tr(s_{mu1} x ... x s_{mut} V_pi) for each pi of
+    ``perms`` and all Pauli strings: a product over cycles of single
+    Pauli-string traces, evaluated with the Pauli multiplication table, as
+    an independent reference for the engine's W_B."""
+    digits = _digit_table(t)
+    w = np.empty((len(perms), 4**t), dtype=complex)
+    for row, p in enumerate(perms):
+        total = np.ones(4**t, dtype=complex)
+        for cyc in p.cycles():
+            idx = digits[cyc[0]].copy()
+            phase = np.ones(4**t, dtype=complex)
+            for slot in cyc[1:]:
+                nxt = digits[slot]
+                phase *= MULT_PHASE[idx, nxt]
+                idx = MULT_IDX[idx, nxt]
+            total *= np.where(idx == 0, 2.0 * phase, 0.0)
+        w[row] = total
+    return w
+
+
 # ---------------------------------------------------------------------------
 # factor-coefficient solves
 # ---------------------------------------------------------------------------
@@ -224,7 +275,7 @@ def test_pair_trace_matches_engine_contraction(rng):
         for _ in range(t - 1):
             rhot = np.kron(rhot, rho)
         perms = sg.enumerate_group(t)
-        w = twirl._w_rows(perms, t)
+        w = _w_rows(perms, t)
         for _ in range(8):
             ia, ib = rng.integers(0, len(perms), 2)
             brute = np.trace(rhot @ joint_v(perms[ia], perms[ib], t))
@@ -494,8 +545,8 @@ def test_t4_sign_table_and_survival_rule(rng):
     summation for pairs (pi, pi) and (pi, pi^-1)."""
     perms = sg.enumerate_group(4)
     index = {p.cycle_string(): i for i, p in enumerate(perms)}
-    w = twirl._w_rows(perms, 4)
-    digits = twirl._digit_table(4)
+    w = _w_rows(perms, 4)
+    digits = np.array(np.unravel_index(np.arange(4**4), (4,) * 4))
     t_mat = rng.uniform(-1, 1, (3, 3))
     det = np.linalg.det(t_mat)
     cycles4 = list(SIGN_TABLE_T4)
@@ -709,7 +760,7 @@ def _ref_apply(rows, r, t):
 def _ref_state_side(state, t):
     """The full Pauli-trace table W over S_t with, for two parties, the
     pair traces tr(rho^xt V_a x V_b) and, for three, the transfer tensor."""
-    w = twirl._w_rows(sg.enumerate_group(t), t)
+    w = _w_rows(sg.enumerate_group(t), t)
     r = transfer_from_bloch(state)
     if isinstance(state, ThreeQubitState):
         return w, r
@@ -787,7 +838,7 @@ def test_rhs_matches_per_permutation_loop(rng):
 def test_cycle_plan_covers_the_basis():
     for t, distinct in zip(range(1, 7), (1, 3, 7, 17, 40, 104)):
         basis = sg.commutant_basis(t)
-        groups, plan, widths, inverse = twirl._cycle_plan(t, 2)
+        groups, plan, widths, inverse = twirl._cycle_plan(t)
         cycles = [tuple(c) for g in groups for c in g]
         assert len(cycles) == len(set(cycles)) == distinct
         ordered = [basis[b] for b in np.argsort(inverse)]
@@ -838,22 +889,24 @@ def test_diagnostics_record(rng):
 
 
 def test_pauli_factors_match_the_full_trace_table(rng):
-    # W_B is kept on its support columns; the factors built from it equal the
-    # products with the full table bit for bit, the collapsed identity included
+    # W_B, built by the right-hand-side kernel and kept on its support
+    # columns, equals the multiplication-table reference (in value: some zero
+    # imaginary parts differ in sign); the factors built from it equal the
+    # products with the full reference table, the collapsed identity included
     from rmoments import protocol_sim as ps
 
+    full = {t: _w_rows(sg.commutant_basis(t), t) for t in range(1, 7)}
+    for t, w in full.items():
+        codes, rows = twirl._basis_w(t)
+        assert len(codes) == 4 ** (t - 1)
+        assert not np.any(np.delete(w, codes, axis=1))
+        assert np.array_equal(rows, w[:, codes])
     tables = [twirl.twirl_coefficients(random_rank_observable(rng, rank), t)
               for t, rank in ((1, 2), (2, 1), (3, 2), (4, 3), (5, 1), (6, 1), (6, 3))]
     tables += [co for name in ps.PIPELINES for co in ps._pipeline_engines(name)]
     for co in tables:
-        t = co.t
-        full = twirl._w_rows(sg.commutant_basis(t), t)
-        codes, rows = twirl._basis_w(t)
-        assert len(codes) == 4 ** (t - 1)
-        assert not np.any(np.delete(full, codes, axis=1))
-        assert np.array_equal(rows, full[:, codes])
         for f, p in zip(co.factors, co._pauli):
-            assert np.array_equal(p, f @ full)
+            assert np.array_equal(p, f @ full[co.t])
 
 
 def test_three_party_moment_matches_dense_contraction(rng):
@@ -865,7 +918,7 @@ def test_three_party_moment_matches_dense_contraction(rng):
             rng.uniform(0.5, 1.5, 2),
         )
         co = twirl.twirl_coefficients(obs, t)
-        full = twirl._w_rows(sg.commutant_basis(t), t)
+        full = _w_rows(sg.commutant_basis(t), t)
         wx, wy, wz = (f @ full for f in co.factors)
         states = [random_bloch_record(3, rng),
                   bloch_from_density(random_state("mixed", 3, int(rng.integers(1000))))]
