@@ -7,6 +7,7 @@ document, 3 dimension mismatch.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,8 +24,6 @@ from .observables import (
     TripartiteObservable,
 )
 from .states import (
-    ThreeQubitState,
-    TwoQubitState,
     bell_state,
     bloch_from_density,
     density_from_bloch,
@@ -82,11 +81,26 @@ def _attach_negative_numbers(argv) -> list:
     return out
 
 
+def _finite_json_number(convert):
+    """A ``json`` number hook: ``convert`` of the literal, if it is finite as
+    a float; ``NaN``, ``Infinity``, ``1e400`` and 10**400 are not."""
+    def parse(text: str):
+        try:
+            if math.isfinite(value := convert(text)):
+                return value
+        except OverflowError:
+            pass
+        raise ValueError(f"not a finite number: {text:.24}")
+    return parse
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_float=_finite_json_number(float),
+                             parse_int=_finite_json_number(int),
+                             parse_constant=_finite_json_number(float))
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read JSON document {path}: {exc}") from exc
 
 
@@ -132,7 +146,7 @@ def _cmd_state_gen(args) -> int:
 
 def _cmd_invariants(args) -> int:
     state = _load_state(args.state)
-    if isinstance(state, TwoQubitState):
+    if state.parties == 2:
         rec = makhlin(state)
         doc = {"qubits": 2, "invariants": rec.as_dict()}
         doc["negativity"] = negativity(density_from_bloch(state))
@@ -173,7 +187,7 @@ def _cmd_twirl(args) -> int:
     if parties == 3 and args.t > 3:
         raise InputError(f"three-party twirl supports t <= 3, got t={args.t}")
     state = _load_state(args.state) if args.state else None
-    if state is not None and (2 if isinstance(state, TwoQubitState) else 3) != parties:
+    if state is not None and state.parties != parties:
         raise DimensionError(f"a {parties}-party observable needs a {parties}-qubit state")
     obs = _coerce_observable(terms, weights, parties)
     coeffs = twirl.twirl_coefficients(obs, args.t)
@@ -219,11 +233,11 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     if args.invariant == "kempe":
-        if not isinstance(state, ThreeQubitState):
+        if state.parties != 3:
             raise DimensionError("kempe recovery needs a three-qubit state")
         rep = protocol_sim.recover_kempe(state, None if args.exact else cfg)
     else:
-        if not isinstance(state, TwoQubitState):
+        if state.parties != 2:
             raise DimensionError("two-qubit invariant recovery needs a two-qubit state")
         cache = {}
         rep = protocol_sim.recover_invariant(args.invariant, state,

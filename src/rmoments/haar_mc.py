@@ -9,7 +9,7 @@ with the Pauli coefficients that explicit traces read from the observable
 and state matrices.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,12 +26,7 @@ class MCEstimate:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def haar_su2(rng: np.random.Generator) -> np.ndarray:

@@ -5,7 +5,7 @@ invariants.  Three qubits: the Kempe invariant and the degree-3 companions
 that appear alongside it in randomized-measurement moments.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,9 +71,7 @@ class MakhlinRecord:
         return {name: getattr(self, name) for name in self.CONTINUOUS}
 
     def as_dict(self) -> dict:
-        out = self.continuous()
-        out.update({name: getattr(self, name) for name in self.DISCRETE})
-        return out
+        return asdict(self)
 
 
 def makhlin(state: TwoQubitState) -> MakhlinRecord:
@@ -135,14 +133,7 @@ class KempeRecord:
     cross_bc_a: float  # sum_jkl W_jkl alpha_j TBC_kl
 
     def as_dict(self) -> dict:
-        return {
-            "kempe": self.kempe,
-            "trTTT": self.trTTT,
-            "w_norm_sq": self.w_norm_sq,
-            "cross_ab_g": self.cross_ab_g,
-            "cross_ca_b": self.cross_ca_b,
-            "cross_bc_a": self.cross_bc_a,
-        }
+        return asdict(self)
 
 
 def kempe(state: ThreeQubitState) -> KempeRecord:

@@ -188,7 +188,7 @@ def random_symmetric_observable(rng: np.random.Generator, rank: int) -> SchmidtO
     )
 
 
-def rotated_pauli_sum(rng: np.random.Generator, s=None) -> SchmidtObservable:
+def rotated_pauli_sum(rng: np.random.Generator, s) -> SchmidtObservable:
     """(U x U)^dag (sum_j s_j sigma_j/sqrt2 x sigma_j/sqrt2) (U x U) for
     Haar-random U, with s_j the operator Schmidt coefficients.
 
@@ -197,8 +197,6 @@ def rotated_pauli_sum(rng: np.random.Generator, s=None) -> SchmidtObservable:
     """
     from .haar_mc import haar_su2
 
-    if s is None:
-        s = rng.uniform(0.5, 2.5, 3)
     s = np.asarray(s, dtype=float)
     u = haar_su2(rng)
     uu = kron(u, u)

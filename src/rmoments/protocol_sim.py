@@ -39,7 +39,8 @@ from .linalg import kron_all
 from .observables import TripartiteObservable, dense_from_terms
 from .paulis import PAULIS, pauli_strings
 from .rng import substream
-from .states import ThreeQubitState, TwoQubitState, pauli_transfer, transfer_from_bloch
+from .states import (BlochRecord, ThreeQubitState, TwoQubitState, pauli_transfer,
+                     transfer_from_bloch)
 
 _I, _X, _Y, _Z = PAULIS
 RECOVERY_TOL = 1e-8
@@ -133,10 +134,7 @@ def simulate_moment(terms, rho, cfg: ProtocolConfig, label: str = "moment",
             raise ValueError(
                 "each setting must be a product term: one 2x2 factor per party"
             )
-    if isinstance(rho, (TwoQubitState, ThreeQubitState)):
-        r = transfer_from_bloch(rho)
-    else:
-        r = pauli_transfer(rho)
+    r = transfer_from_bloch(rho) if isinstance(rho, BlochRecord) else pauli_transfer(rho)
     if r.ndim != n_parties:
         raise ValueError(f"{r.ndim}-qubit state does not match {n_parties} parties")
     n_set = len(terms)
@@ -248,7 +246,6 @@ class Pipeline:
     dictionary: tuple       # monomial names spanning the (combined) moment
     target: str             # dictionary entry being recovered
     prerequisites: tuple    # invariants recovered first
-    settings: int           # tensor rank the protocol cycles through
     difference: tuple = None  # optional second observable; recover from R1 - R2
 
 
@@ -257,40 +254,40 @@ def _t(*factors):
 
 
 PIPELINES = {
-    "I2": Pipeline("I2", 2, (_t(3 * _Z, _Z),), ("1", "I2"), "I2", (), 1),
-    "I4": Pipeline("I4", 2, (_t(np.sqrt(3) * _Z, _I),), ("1", "I4"), "I4", (), 1),
-    "I7": Pipeline("I7", 2, (_t(np.sqrt(3) * _I, _Z),), ("1", "I7"), "I7", (), 1),
+    "I2": Pipeline("I2", 2, (_t(3 * _Z, _Z),), ("1", "I2"), "I2", ()),
+    "I4": Pipeline("I4", 2, (_t(np.sqrt(3) * _Z, _I),), ("1", "I4"), "I4", ()),
+    "I7": Pipeline("I7", 2, (_t(np.sqrt(3) * _I, _Z),), ("1", "I7"), "I7", ()),
     "I3": Pipeline("I3", 4, (_t(_Z, _Z),),
-                   ("1", "I2", "I2*I2", "I3"), "I3", ("I2",), 1),
+                   ("1", "I2", "I2*I2", "I3"), "I3", ("I2",)),
     "I5": Pipeline("I5", 4, (_t(_Z, _I + _Z),),
                    ("1", "I2", "I3", "I4", "I2*I2", "I2*I4", "I4*I4", "I5"),
-                   "I5", ("I2", "I3", "I4"), 1),
+                   "I5", ("I2", "I3", "I4")),
     "I8": Pipeline("I8", 4, (_t(_I + _Z, _Z),),
                    ("1", "I2", "I3", "I7", "I2*I2", "I2*I7", "I7*I7", "I8"),
-                   "I8", ("I2", "I3", "I7"), 1),
+                   "I8", ("I2", "I3", "I7")),
     "I12": Pipeline("I12", 3, (_t(_I + _Z, _I + _Z),),
-                    ("1", "I2", "I4", "I7", "I12"), "I12", ("I2", "I4", "I7"), 1),
+                    ("1", "I2", "I4", "I7", "I12"), "I12", ("I2", "I4", "I7")),
     "I13": Pipeline("I13", 5, (_t(_I + _Z, _I + _Z),),
                     ("1", "I2", "I4", "I7", "I12", "I3", "I5", "I8",
                      "I2*I2", "I2*I4", "I2*I7", "I4*I4", "I4*I7", "I7*I7",
                      "I12*I2", "I12*I4", "I12*I7", "I13"),
-                    "I13", ("I2", "I3", "I4", "I5", "I7", "I8", "I12"), 1),
+                    "I13", ("I2", "I3", "I4", "I5", "I7", "I8", "I12")),
     # auxiliary: det(T)^2 is type-1 accessible and feeds the sixth-moment rows
     "detsq": Pipeline("detsq", 6, (_t(_Z, _Z),),
-                      ("1", "I2*I3", "I2*I2*I2", "I1*I1"), "I1*I1", ("I2", "I3"), 1),
+                      ("1", "I2*I3", "I2*I2*I2", "I1*I1"), "I1*I1", ("I2", "I3")),
     "I6": Pipeline("I6", 6, (_t(_Z, _I + _Z),),
                    ("1", "I1*I1", "I2*I3", "I2*I2*I2", "I2*I2*I4", "I2*I4*I4",
                     "I4*I4*I4", "I3*I4", "I2*I5", "I4*I5", "I6"),
-                   "I6", ("I2", "I3", "I4", "I5", "detsq"), 1),
+                   "I6", ("I2", "I3", "I4", "I5", "detsq")),
     "I9": Pipeline("I9", 6, (_t(_I + _Z, _Z),),
                    ("1", "I1*I1", "I2*I3", "I2*I2*I2", "I2*I2*I7", "I2*I7*I7",
                     "I7*I7*I7", "I3*I7", "I2*I8", "I7*I8", "I9"),
-                   "I9", ("I2", "I3", "I7", "I8", "detsq"), 1),
+                   "I9", ("I2", "I3", "I7", "I8", "detsq")),
     "det": Pipeline("det", 3, (_t(_X, _X), _t(_Y, _Y), _t(_Z, _Z)),
-                    ("1", "I2", "I4", "I7", "I12", "I1"), "I1", (), 3),
+                    ("1", "I2", "I4", "I7", "I12", "I1"), "I1", ()),
     "hodge": Pipeline("hodge", 4,
                       (_t(_I, _X), _t(_X, _I), _t(_Y, _Z), _t(_Z, _Y)),
-                      ("1", "I14"), "I14", (), 4,
+                      ("1", "I14"), "I14", (),
                       difference=(_t(_I, _X), _t(_X, _I), _t(_Y, _Z), _t(-_Z, _Y))),
 }
 
@@ -356,12 +353,11 @@ def _measure(name: str, state, cfg: ProtocolConfig, pair: str, cache: dict):
     run = replace(cfg, moment=pipe.t)
     label = name if pair is None else f"{name}-{pair}"
     est, cache[("trace", name, pair)] = simulate_moment(
-        [list(t) for t in _pad_terms(pipe.terms, pair)], state, run,
-        label=label, collect_trace=True)
+        _pad_terms(pipe.terms, pair), state, run, label=label, collect_trace=True)
     value, err = est.mean, est.stderr
     if pipe.difference is not None:
-        est2 = simulate_moment([list(t) for t in _pad_terms(pipe.difference, pair)], state,
-                               run, label=label + "-minus")
+        est2 = simulate_moment(_pad_terms(pipe.difference, pair), state, run,
+                               label=label + "-minus")
         value -= est2.mean
         err = float(np.hypot(err, est2.stderr))
     return value, err
@@ -375,7 +371,7 @@ def _evaluate(name: str, state, cfg: ProtocolConfig, pair: str, cache: dict):
     if key in cache:
         return cache[key]
     pipe = PIPELINES[name]
-    known_values, known_errs, settings = {}, {}, pipe.settings
+    known_values, known_errs, settings = {}, {}, len(pipe.terms)
     for pre in pipe.prerequisites:
         value, err, pre_settings = _evaluate(pre, state, cfg, pair, cache)
         monomial = PIPELINES[pre].target
@@ -573,7 +569,7 @@ def recover_kempe(state, cfg: ProtocolConfig = None) -> RecoveryReport:
         if cfg is None:
             rest, err = calib[key][0].moment(state), 0.0
         else:
-            est = simulate_moment(list(obs.terms), state, replace(cfg, moment=3),
+            est = simulate_moment(obs.terms, state, replace(cfg, moment=3),
                                   label=f"kempe-{key}")
             rest, err = est.mean, est.stderr
         for nm, c in zip(names, calib[key][1]):

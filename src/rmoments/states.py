@@ -5,9 +5,14 @@ The Bloch decomposition used throughout:
 * two qubits:
   ``rho = (1/4)[1 + alpha.sigma x 1 + 1 x beta.sigma + sum_jk T_jk s_j x s_k]``
 * three qubits: local vectors ``alpha, beta, gamma``, pair correlation
-  matrices ``TAB, TBC, TCA`` and the three-body tensor ``W``, where
-  ``TCA[j, k]`` multiplies ``sigma_k x 1 x sigma_j`` (row index on the third
-  party, column index on the first).
+  matrices ``TAB, TBC, TCA`` and the three-body tensor ``W``.
+
+Each record class states these conventions once, in its ``LAYOUT`` table:
+every block's name, its index into the (4,)^n Pauli transfer tensor
+R[mu, nu, ...] = tr(rho s_mu x s_nu x ...), its shape, and whether R holds
+it transposed.  Only ``TCA`` is: ``TCA[j, k]`` multiplies
+``sigma_k x 1 x sigma_j`` (row index on the third party, column index on
+the first).  Every conversion below reads that table, for both party counts.
 
 Non-physical Bloch records are first-class values: moments and invariants
 remain well defined for them, and fitting uses them deliberately.
@@ -22,25 +27,43 @@ from .paulis import PAULIS
 from .rng import substream
 
 
+class BlochRecord:
+    """Bloch record of an n-qubit operator with unit trace.
+
+    A subclass is a dataclass with one field per block and declares
+    ``parties`` and ``LAYOUT``, rows (name, index into the transfer tensor,
+    shape, transposed) in field order.
+    """
+
+    parties: int
+    LAYOUT: tuple
+
+    def __post_init__(self):
+        for name, _, shape, _ in self.LAYOUT:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(shape))
+
+    def copy(self):
+        return type(self)(*(getattr(self, name).copy() for name, *_ in self.LAYOUT))
+
+
 @dataclass
-class TwoQubitState:
+class TwoQubitState(BlochRecord):
     """Bloch record of a two-qubit operator with unit trace."""
 
     alpha: np.ndarray
     beta: np.ndarray
     T: np.ndarray
 
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float).reshape(3)
-        self.beta = np.asarray(self.beta, dtype=float).reshape(3)
-        self.T = np.asarray(self.T, dtype=float).reshape(3, 3)
-
-    def copy(self) -> "TwoQubitState":
-        return TwoQubitState(self.alpha.copy(), self.beta.copy(), self.T.copy())
+    parties = 2
+    LAYOUT = (
+        ("alpha", np.s_[1:, 0], (3,), False),
+        ("beta", np.s_[0, 1:], (3,), False),
+        ("T", np.s_[1:, 1:], (3, 3), False),
+    )
 
 
 @dataclass
-class ThreeQubitState:
+class ThreeQubitState(BlochRecord):
     """Bloch record of a three-qubit operator with unit trace."""
 
     alpha: np.ndarray
@@ -51,20 +74,20 @@ class ThreeQubitState:
     TCA: np.ndarray
     W: np.ndarray
 
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float).reshape(3)
-        self.beta = np.asarray(self.beta, dtype=float).reshape(3)
-        self.gamma = np.asarray(self.gamma, dtype=float).reshape(3)
-        self.TAB = np.asarray(self.TAB, dtype=float).reshape(3, 3)
-        self.TBC = np.asarray(self.TBC, dtype=float).reshape(3, 3)
-        self.TCA = np.asarray(self.TCA, dtype=float).reshape(3, 3)
-        self.W = np.asarray(self.W, dtype=float).reshape(3, 3, 3)
+    parties = 3
+    LAYOUT = (
+        ("alpha", np.s_[1:, 0, 0], (3,), False),
+        ("beta", np.s_[0, 1:, 0], (3,), False),
+        ("gamma", np.s_[0, 0, 1:], (3,), False),
+        ("TAB", np.s_[1:, 1:, 0], (3, 3), False),
+        ("TBC", np.s_[0, 1:, 1:], (3, 3), False),
+        ("TCA", np.s_[1:, 0, 1:], (3, 3), True),
+        ("W", np.s_[1:, 1:, 1:], (3, 3, 3), False),
+    )
 
-    def copy(self) -> "ThreeQubitState":
-        return ThreeQubitState(
-            self.alpha.copy(), self.beta.copy(), self.gamma.copy(),
-            self.TAB.copy(), self.TBC.copy(), self.TCA.copy(), self.W.copy(),
-        )
+
+#: record class per party count
+RECORDS = {cls.parties: cls for cls in (TwoQubitState, ThreeQubitState)}
 
 
 def pauli_transfer(rho: np.ndarray) -> np.ndarray:
@@ -89,37 +112,17 @@ def pauli_transfer(rho: np.ndarray) -> np.ndarray:
 def bloch_from_density(rho: np.ndarray):
     """Extract the Bloch record of a 4x4 or 8x8 unit-trace operator."""
     r = pauli_transfer(rho)
-    if r.ndim == 2:
-        return TwoQubitState(alpha=r[1:, 0], beta=r[0, 1:], T=r[1:, 1:])
-    return ThreeQubitState(
-        alpha=r[1:, 0, 0],
-        beta=r[0, 1:, 0],
-        gamma=r[0, 0, 1:],
-        TAB=r[1:, 1:, 0],
-        TBC=r[0, 1:, 1:],
-        TCA=r[1:, 0, 1:].T,  # row index on party C, column on party A
-        W=r[1:, 1:, 1:],
-    )
+    cls = RECORDS[r.ndim]
+    return cls(*(r[index].T if transposed else r[index] for _, index, _, transposed in cls.LAYOUT))
 
 
 def transfer_from_bloch(state) -> np.ndarray:
     """Inverse of the Bloch extraction: full (4,)*n correlation tensor."""
-    if isinstance(state, TwoQubitState):
-        r = np.zeros((4, 4))
-        r[0, 0] = 1.0
-        r[1:, 0] = state.alpha
-        r[0, 1:] = state.beta
-        r[1:, 1:] = state.T
-        return r
-    r = np.zeros((4, 4, 4))
-    r[0, 0, 0] = 1.0
-    r[1:, 0, 0] = state.alpha
-    r[0, 1:, 0] = state.beta
-    r[0, 0, 1:] = state.gamma
-    r[1:, 1:, 0] = state.TAB
-    r[0, 1:, 1:] = state.TBC
-    r[1:, 0, 1:] = state.TCA.T
-    r[1:, 1:, 1:] = state.W
+    r = np.zeros((4,) * state.parties)
+    r[(0,) * state.parties] = 1.0
+    for name, index, _, transposed in state.LAYOUT:
+        block = getattr(state, name)
+        r[index] = block.T if transposed else block
     return r
 
 
@@ -161,15 +164,10 @@ def random_bloch_record(qubits: int, rng: np.random.Generator):
     Used as fitting input: polynomial identities in the Bloch data do not
     require positivity, and these records give well-conditioned designs.
     """
-    u = lambda *shape: rng.uniform(-1.0, 1.0, shape)
-    if qubits == 2:
-        return TwoQubitState(alpha=u(3), beta=u(3), T=u(3, 3))
-    if qubits == 3:
-        return ThreeQubitState(
-            alpha=u(3), beta=u(3), gamma=u(3),
-            TAB=u(3, 3), TBC=u(3, 3), TCA=u(3, 3), W=u(3, 3, 3),
-        )
-    raise DimensionError("only 2- and 3-qubit records are supported")
+    if qubits not in RECORDS:
+        raise DimensionError("only 2- and 3-qubit records are supported")
+    cls = RECORDS[qubits]
+    return cls(*(rng.uniform(-1.0, 1.0, shape) for _, _, shape, _ in cls.LAYOUT))
 
 
 def partial_transpose_bloch(state: TwoQubitState, party: int = 2) -> TwoQubitState:
@@ -221,24 +219,10 @@ def maximally_mixed(qubits: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def state_to_json(state) -> dict:
-    if isinstance(state, TwoQubitState):
-        return {
-            "qubits": 2,
-            "alpha": state.alpha.tolist(),
-            "beta": state.beta.tolist(),
-            "T": state.T.tolist(),
-        }
-    if isinstance(state, ThreeQubitState):
-        return {
-            "qubits": 3,
-            "alpha": state.alpha.tolist(),
-            "beta": state.beta.tolist(),
-            "gamma": state.gamma.tolist(),
-            "TAB": state.TAB.tolist(),
-            "TBC": state.TBC.tolist(),
-            "TCA": state.TCA.tolist(),
-            "W": state.W.tolist(),
-        }
+    if isinstance(state, BlochRecord):
+        doc = {"qubits": state.parties}
+        doc.update((name, getattr(state, name).tolist()) for name, *_ in state.LAYOUT)
+        return doc
     rho = np.asarray(state, dtype=complex)
     return {
         "qubits": num_qubits(rho),
@@ -259,11 +243,7 @@ def state_from_json(doc: dict):
         rho = raw[..., 0] + 1j * raw[..., 1]
         return bloch_from_density(rho)
     qubits = int(doc.get("qubits", 2))
-    if qubits == 2:
-        return TwoQubitState(alpha=doc["alpha"], beta=doc["beta"], T=doc["T"])
-    if qubits == 3:
-        return ThreeQubitState(
-            alpha=doc["alpha"], beta=doc["beta"], gamma=doc["gamma"],
-            TAB=doc["TAB"], TBC=doc["TBC"], TCA=doc["TCA"], W=doc["W"],
-        )
-    raise ValueError(f"unsupported qubit count {qubits}")
+    if qubits not in RECORDS:
+        raise ValueError(f"unsupported qubit count {qubits}")
+    cls = RECORDS[qubits]
+    return cls(*(doc[name] for name, *_ in cls.LAYOUT))

@@ -14,7 +14,7 @@ Conventions pinned here and relied on everywhere else:
   this is exactly ``(), (12), (13), (23), (123), (132)``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _iter_permutations
 
@@ -164,18 +164,6 @@ def trace_with_v(matrices, p: Permutation) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Integer Gram matrix (tr V_{pi o pi'}) of the permutation operators."""
-
-    t: int
-    d: int
-    entries: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
 _GRAM_ROW_BLOCK = 64
 
 
@@ -205,13 +193,16 @@ def gram_block(rows, cols, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def gram_matrix(t: int, d: int) -> GramMatrix:
-    """Gram matrix with entry(pi, pi') = d^{#cycles(pi o pi')}, exact integers."""
+def gram_matrix(t: int, d: int) -> np.ndarray:
+    """Gram matrix (tr V_{pi o pi'}) of the permutation operators, with entry
+    (pi, pi') = d^{#cycles(pi o pi')}: a read-only array of exact integers."""
     perms = enumerate_group(t)
-    return GramMatrix(t=t, d=d, entries=gram_block(perms, perms, d))
+    g = gram_block(perms, perms, d)
+    g.setflags(write=False)
+    return g
 
 
-def kernel_basis(g: GramMatrix) -> np.ndarray:
+def kernel_basis(g: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(G), one column per vector.
 
     Kernel vectors are exactly the coefficient vectors of linear
@@ -220,4 +211,4 @@ def kernel_basis(g: GramMatrix) -> np.ndarray:
     """
     from .linalg import nullspace
 
-    return nullspace(np.asarray(g.entries, dtype=float))
+    return nullspace(np.asarray(g, dtype=float))

@@ -45,7 +45,7 @@ from .observables import SchmidtObservable, TripartiteObservable, schmidt_decomp
 from .paulis import PAULIS
 from .rng import substream
 from .states import (
-    ThreeQubitState,
+    BlochRecord,
     TwoQubitState,
     bloch_from_density,
     partial_transpose_bloch,
@@ -335,12 +335,11 @@ def _apply_transfer(w: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:
 
 def as_bloch(state, parties: int = 2):
     """Coerce a density matrix or Bloch record to the Bloch form."""
-    if isinstance(state, (TwoQubitState, ThreeQubitState)):
-        got = 2 if isinstance(state, TwoQubitState) else 3
-        if got != parties:
-            raise ValueError(f"expected {parties}-party state, got {got}-party")
-        return state
-    return bloch_from_density(np.asarray(state, dtype=complex))
+    if not isinstance(state, BlochRecord):
+        state = bloch_from_density(np.asarray(state, dtype=complex))
+    if state.parties != parties:
+        raise ValueError(f"expected {parties}-party state, got {state.parties}-party")
+    return state
 
 
 def _index_tuples(r: int, t: int) -> np.ndarray:

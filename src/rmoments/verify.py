@@ -132,7 +132,7 @@ def check_gram_values(seed: int):
         [2, 4, 4, 4, 2, 8],
         [2, 4, 4, 4, 8, 2],
     ])
-    g = sg.gram_matrix(3, 2).entries
+    g = sg.gram_matrix(3, 2)
     dev = float(np.max(np.abs(g - expected)))
     return 1, dev, dev == 0.0
 

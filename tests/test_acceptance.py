@@ -169,7 +169,7 @@ def test_criterion_07_gram_integers():
         [2, 4, 4, 4, 2, 8],
         [2, 4, 4, 4, 8, 2],
     ])
-    ok = np.array_equal(sg.gram_matrix(3, 2).entries, expected)
+    ok = np.array_equal(sg.gram_matrix(3, 2), expected)
     assert report(7, "t=3 Gram matrix equals the exact integer table", ok,
                   "exact integer comparison")
 

@@ -153,6 +153,24 @@ def test_malformed_json_exit_code(tmp_path, capsys):
             capsys.readouterr()
             assert run(argv + ["--state", str(state)]) == cli.EXIT_BAD_INPUT, (doc, argv)
             assert capsys.readouterr().err.startswith("error: malformed state document")
+    # numbers that are not finite floats: NaN, infinities and literals that
+    # overflow a float, as a state entry and as an observable weight
+    odet_text = json.dumps(odet_doc())
+    for i, number in enumerate(("NaN", "Infinity", "-Infinity", "1e400", "1" * 401)):
+        state = tmp_path / f"state-nonfinite{i}.json"
+        state.write_text(json.dumps({"qubits": 2, "alpha": zero, "beta": zero, "T": eye})
+                         .replace("1.0", number, 1))
+        observable = tmp_path / f"odet-nonfinite{i}.json"
+        observable.write_text(odet_text.replace('"weight": 1.0', f'"weight": {number}', 1))
+        for argv in (["invariants", "--state", str(state)],
+                     ["simulate", "--invariant", "I2", "--exact", "--state", str(state)],
+                     ["classify", "--observable", str(observable)],
+                     ["twirl", "--observable", str(observable), "--t", "2"]):
+            capsys.readouterr()
+            assert run(argv) == cli.EXIT_BAD_INPUT, (number, argv)
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: cannot read JSON document"), captured.err
+            assert captured.out == ""
 
 
 def test_dimension_mismatch_exit_code(tmp_path):

@@ -81,7 +81,7 @@ def test_partial_transpose_rejects_bad_dims():
 
 
 def test_min_norm_solution_orthogonal_to_kernel(rng):
-    g = sg.gram_matrix(3, 2).entries.astype(float)
+    g = sg.gram_matrix(3, 2).astype(float)
     kernel = linalg.nullspace(g)
     assert kernel.shape[1] == 1
     factors = [random_complex(rng, (2, 2)) for _ in range(3)]

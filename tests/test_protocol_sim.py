@@ -114,6 +114,12 @@ def test_recover_unknown_invariant():
         ps.recover_invariant("I99", bloch_from_density(bell_state()))
 
 
+def test_kempe_rejects_a_two_qubit_density_matrix(bell_record):
+    for state in (bell_state(), bell_record):
+        with pytest.raises(ValueError, match="expected 3-party state, got 2-party"):
+            ps.recover_kempe(state)
+
+
 def test_kempe_exact_on_ghz(ghz_record):
     rep = ps.recover_kempe(ghz_record)
     assert rep.estimate == pytest.approx(0.25, abs=1e-8)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rmoments import states
 from rmoments.haar_mc import haar_su2
-from rmoments.linalg import eigvalsh, kron, partial_transpose
+from rmoments.linalg import DimensionError, eigvalsh, kron, partial_transpose
 from rmoments.paulis import PAULIS
 
 
@@ -187,3 +187,115 @@ def test_is_physical():
         states.TwoQubitState(np.zeros(3), np.zeros(3), np.diag([1.0, 1.0, 1.0]))
     )
     assert not is_physical(bad)
+
+
+# ---------------------------------------------------------------------------
+# the layout tables against hand-written conversions, one branch per party
+# count, bit for bit
+# ---------------------------------------------------------------------------
+
+def _ref_bloch_from_density(rho):
+    r = states.pauli_transfer(rho)
+    if r.ndim == 2:
+        return states.TwoQubitState(alpha=r[1:, 0], beta=r[0, 1:], T=r[1:, 1:])
+    return states.ThreeQubitState(
+        alpha=r[1:, 0, 0], beta=r[0, 1:, 0], gamma=r[0, 0, 1:],
+        TAB=r[1:, 1:, 0], TBC=r[0, 1:, 1:], TCA=r[1:, 0, 1:].T, W=r[1:, 1:, 1:],
+    )
+
+
+def _ref_transfer_from_bloch(state):
+    if isinstance(state, states.TwoQubitState):
+        r = np.zeros((4, 4))
+        r[0, 0] = 1.0
+        r[1:, 0] = state.alpha
+        r[0, 1:] = state.beta
+        r[1:, 1:] = state.T
+        return r
+    r = np.zeros((4, 4, 4))
+    r[0, 0, 0] = 1.0
+    r[1:, 0, 0] = state.alpha
+    r[0, 1:, 0] = state.beta
+    r[0, 0, 1:] = state.gamma
+    r[1:, 1:, 0] = state.TAB
+    r[0, 1:, 1:] = state.TBC
+    r[1:, 0, 1:] = state.TCA.T
+    r[1:, 1:, 1:] = state.W
+    return r
+
+
+def _ref_random_bloch_record(qubits, rng):
+    u = lambda *shape: rng.uniform(-1.0, 1.0, shape)
+    if qubits == 2:
+        return states.TwoQubitState(alpha=u(3), beta=u(3), T=u(3, 3))
+    return states.ThreeQubitState(
+        alpha=u(3), beta=u(3), gamma=u(3),
+        TAB=u(3, 3), TBC=u(3, 3), TCA=u(3, 3), W=u(3, 3, 3),
+    )
+
+
+def _ref_state_to_json(state):
+    if isinstance(state, states.TwoQubitState):
+        return {"qubits": 2, "alpha": state.alpha.tolist(), "beta": state.beta.tolist(),
+                "T": state.T.tolist()}
+    return {
+        "qubits": 3, "alpha": state.alpha.tolist(), "beta": state.beta.tolist(),
+        "gamma": state.gamma.tolist(), "TAB": state.TAB.tolist(), "TBC": state.TBC.tolist(),
+        "TCA": state.TCA.tolist(), "W": state.W.tolist(),
+    }
+
+
+_BLOCKS = {2: ("alpha", "beta", "T"), 3: ("alpha", "beta", "gamma", "TAB", "TBC", "TCA", "W")}
+
+
+def _assert_same_bits(a, b):
+    assert type(a) is type(b)
+    for name in _BLOCKS[a.parties]:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("qubits", (2, 3))
+def test_layout_covers_the_transfer_tensor_once(qubits):
+    cls = states.RECORDS[qubits]
+    assert cls.parties == qubits
+    assert tuple(name for name, *_ in cls.LAYOUT) == _BLOCKS[qubits]
+    hits = np.zeros((4,) * qubits, dtype=int)
+    for _, index, shape, _ in cls.LAYOUT:
+        hits[index] += 1
+        assert hits[index].shape == shape
+    corner = (0,) * qubits
+    assert hits[corner] == 0
+    hits[corner] = 1
+    assert np.all(hits == 1)
+    assert [name for name, *_, transposed in cls.LAYOUT if transposed] == (
+        [] if qubits == 2 else ["TCA"])
+
+
+@pytest.mark.parametrize("qubits", (2, 3))
+def test_conversions_match_the_hand_written_references(qubits):
+    rng, ref_rng = np.random.default_rng(77), np.random.default_rng(77)
+    for i in range(20):
+        # the same generator state gives the same draws
+        rec = states.random_bloch_record(qubits, rng)
+        _assert_same_bits(rec, _ref_random_bloch_record(qubits, ref_rng))
+        transfer = states.transfer_from_bloch(rec)
+        assert transfer.tobytes() == _ref_transfer_from_bloch(rec).tobytes()
+        doc = states.state_to_json(rec)
+        assert json.dumps(doc) == json.dumps(_ref_state_to_json(rec))
+        _assert_same_bits(states.state_from_json(json.loads(json.dumps(doc))), rec)
+        twin = rec.copy()
+        _assert_same_bits(twin, rec)
+        assert all(not np.shares_memory(getattr(twin, n), getattr(rec, n))
+                   for n in _BLOCKS[qubits])
+        for rho in (states.random_state("pure" if i % 2 else "mixed", qubits, 300 + i),
+                    states.density_from_bloch(rec)):
+            _assert_same_bits(states.bloch_from_density(rho), _ref_bloch_from_density(rho))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_records_reject_other_party_counts(rng):
+    with pytest.raises(DimensionError):
+        states.random_bloch_record(4, rng)
+    with pytest.raises(ValueError, match="unsupported qubit count 4"):
+        states.state_from_json({"qubits": 4})

@@ -24,6 +24,7 @@ from rmoments.states import (
     bell_state,
     bloch_from_density,
     density_from_bloch,
+    ghz_state,
     maximally_mixed,
     partial_transpose_bloch,
     random_bloch_record,
@@ -114,7 +115,7 @@ def test_solve_pauli_triple_matches_known_solution():
 def test_solve_resubstitution_property(rng):
     factors = [random_hermitian(rng) for _ in range(3)]
     x = twirl.solve_factor_coefficients(factors)
-    g = sg.gram_matrix(3, 2).entries
+    g = sg.gram_matrix(3, 2)
     rhs = np.array([sg.trace_with_v(factors, p) for p in sg.enumerate_group(3)])
     assert np.max(np.abs(g @ x - rhs)) <= 1e-10
 
@@ -519,6 +520,14 @@ def test_higher_moments_supported():
     assert co.moment(mm) == pytest.approx((np.trace(kron(Z, I + Z)).real / 4) ** 6, abs=1e-10)
 
 
+def test_moment_rejects_a_density_matrix_of_the_wrong_party_count(ghz_record):
+    # a record and its density matrix are checked alike, after conversion
+    co = twirl.twirl_coefficients(pauli_sum_observable(), 2)
+    for state in (ghz_state(), ghz_record):
+        with pytest.raises(ValueError, match="expected 2-party state, got 3-party"):
+            co.moment(state)
+
+
 def test_tripartite_rejects_high_moment():
     with pytest.raises(ValueError):
         twirl.twirl_coefficients(TripartiteObservable([(I, I, I)]), 4)
@@ -679,7 +688,7 @@ def test_commutant_basis_is_catalan_sized_and_independent():
     # qutrits: the basis size is the rank of the full Gram matrix
     for t in range(1, 6):
         basis = sg.commutant_basis(t, 3)
-        full = np.linalg.matrix_rank(sg.gram_matrix(t, 3).entries.astype(float))
+        full = np.linalg.matrix_rank(sg.gram_matrix(t, 3).astype(float))
         block = sg.gram_block(basis, basis, 3).astype(float)
         assert len(basis) == full == np.linalg.matrix_rank(block)
 
@@ -724,7 +733,7 @@ def _times_real(z, m):
 @lru_cache(maxsize=None)
 def _ref_gram(t):
     """Full Gram matrix, its pseudo-inverse and an orthonormal kernel basis."""
-    gram = sg.gram_matrix(t, 2).entries.astype(float)
+    gram = sg.gram_matrix(t, 2).astype(float)
     _, sv, vt = np.linalg.svd(gram)
     kernel = vt[int(np.sum(sv > 1e-9 * sv[0])):].T
     return gram, np.linalg.pinv(gram, rcond=1e-9), kernel
