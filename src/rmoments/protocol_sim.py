@@ -338,13 +338,17 @@ COEFF_NEGLIGIBLE = 1e-9
 def _measure(name: str, state, cfg: ProtocolConfig, pair: str, cache: dict):
     """(value, stderr) of pipeline ``name``'s moment, combined over its
     difference observable: exact with ``cfg = None``, else finite-shot.
-    ``pair`` embeds the pipeline into that pair of a three-qubit state.  A
-    finite-shot run keeps the per-(frame, setting) estimates of its primary
-    observable in ``cache`` under ``("trace", name, pair)``."""
+    ``pair`` embeds the pipeline into that pair of a three-qubit state,
+    whose marginal record the exact path builds once into ``cache`` under
+    ``("marginal", pair)``.  A finite-shot run keeps the per-(frame,
+    setting) estimates of its primary observable in ``cache`` under
+    ``("trace", name, pair)``."""
     pipe = PIPELINES[name]
     if cfg is None:
         if pair is not None:
-            state = marginal_bloch(state, pair)
+            if ("marginal", pair) not in cache:
+                cache["marginal", pair] = marginal_bloch(state, pair)
+            state = cache["marginal", pair]
         engines = _pipeline_engines(name)
         value = engines[0].moment(state)
         if pipe.difference is not None:

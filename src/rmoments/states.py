@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, eigvalsh, kron_all, num_qubits, partial_transpose
+from .linalg import (
+    HERMITICITY_TOL,
+    DimensionError,
+    eigvalsh,
+    is_hermitian,
+    kron_all,
+    num_qubits,
+    partial_transpose,
+)
 from .paulis import PAULIS
 from .rng import substream
 
@@ -233,17 +241,25 @@ def state_to_json(state) -> dict:
 def state_from_json(doc: dict):
     """Parse either Bloch form or the density-matrix alternative.
 
-    Returns a TwoQubitState or ThreeQubitState; density-matrix input is
-    converted through the Bloch extraction.
+    Returns a TwoQubitState or ThreeQubitState; density-matrix input must
+    be Hermitian with unit trace and is converted through the Bloch
+    extraction.
     """
     if "matrix" in doc:
         raw = np.asarray(doc["matrix"], dtype=float)
         if raw.ndim != 3 or raw.shape[2] != 2 or raw.shape[0] != raw.shape[1]:
             raise ValueError("matrix must be square with [re, im] entries")
         rho = raw[..., 0] + 1j * raw[..., 1]
+        # the Bloch record keeps only the real parts of tr(rho P) and
+        # drops tr(rho), so neither defect would show in the result
+        if not is_hermitian(rho):
+            raise ValueError("matrix must be Hermitian")
+        if abs(np.trace(rho) - 1.0) > HERMITICITY_TOL:
+            raise ValueError("matrix must have unit trace")
         return bloch_from_density(rho)
-    qubits = int(doc.get("qubits", 2))
+    qubits = doc.get("qubits", 2)
+    # no int(): it would read 2.7 as 2
     if qubits not in RECORDS:
-        raise ValueError(f"unsupported qubit count {qubits}")
+        raise ValueError(f"unsupported qubit count {qubits!r}")
     cls = RECORDS[qubits]
     return cls(*(doc[name] for name, *_ in cls.LAYOUT))

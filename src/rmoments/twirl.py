@@ -15,16 +15,28 @@ contractions tr(rho^xt V_{bA} x V_{bB}), which this module evaluates in the
 Pauli basis through the cycle-product trace formula with the Pauli-trace
 rows W_B of the basis -- rho^xt is never formed.
 
+A table's rows run over the multisets of product-term indices, not over
+every index tuple: one sorted representative per multiset, its weight
+multiplied by the multinomial count of its orderings.  This is exact.
+Permuting the copies of a tuple conjugates every party's factor product,
+and so its twirl, by the same V_sigma, and rho^xt commutes with
+V_sigma x V_sigma (x V_sigma), so every ordering contributes the same
+moment, for physical and non-physical Bloch records alike.  A rank-r
+observable then needs C(t+r-1, t) rows instead of r^t: 84 instead of 4,096
+at t = 6, rank 4.
+
 A two-party table is one factor pair (P W_B, Q W_B) with P^T Q the
-coefficient table on B x B.  It has k = min(n_tuples, |B|) rows: with few
-product-term index tuples n, P holds w_n x_n and Q holds y_n; otherwise
-P = 1 and Q = sum_n w_n x_n y_n^T.  The moment is then the one contraction
+coefficient table on B x B.  It has k = min(n_rows, |B|) rows: with few
+multisets n, P holds w_n x_n and Q holds y_n; otherwise P = 1 and
+Q = sum_n w_n x_n y_n^T.  The moment is then the one contraction
 <P W_B, R^xt (Q W_B)> / 4^t with R the state's transfer matrix.
-Three-party tables (t <= 3) keep one factor triple per index tuple.  The
+Three-party tables (t <= 3) keep one factor triple per multiset.  The
 rows of W_B are sparse, so their contraction with R3^xt reduces, once per
 table, to a short weighted sum of products of t entries of R3.
 
 Tables over all of S_t are derived from the basis solution on request.
+Such a table is invariant under conjugation by V_sigma x V_sigma only once
+it sums every ordering, so it is rebuilt from every index tuple.
 Embedding x_B into S_t (zeros off B) gives one solution of the full Gram
 system.  Kernel vectors of the full Gram matrix are exactly the linear
 dependencies among the V_pi, so projecting the embedded solution off the
@@ -263,28 +275,36 @@ class EngineDiagnostics:
 class TwirlCoefficients:
     """Twirl of O^xt on the commutant basis B, kept in factorized form:
     ``factors`` holds one (k, |B|) coefficient array per party, and the
-    coefficient table on B^parties is sum_k p_k x q_k [x z_k].
+    coefficient table on B^parties is sum_k p_k x q_k [x z_k].  The rows
+    run over the multisets of term indices, each weighted by its number of
+    orderings; this sum gives every moment exactly but is not the table
+    over S_t^parties, which ``dense`` rebuilds from the observable's
+    per-party factor ``stacks`` and term ``weights``.
     """
 
     t: int
     parties: int
     factors: tuple
     diagnostics: EngineDiagnostics
+    stacks: tuple
+    weights: np.ndarray
     _pauli: tuple = field(init=False, repr=False)   # factors @ W_B, full length
 
     def __post_init__(self):
         codes, w = _basis_w(self.t)
         self._pauli = tuple(np.zeros((len(f), 4**self.t), dtype=complex) for f in self.factors)
         for f, full in zip(self.factors, self._pauli):
-            # the collapsed first factor of a many-tuple table is the identity
+            # the collapsed first factor of a many-row table is the identity
             identity = f.shape == (len(w), len(w)) and np.array_equal(f, np.eye(len(w)))
             full[:, codes] = w if identity else f @ w
 
     def dense(self, gauge: bool = False) -> np.ndarray:
         """Full coefficient table over S_t^parties: the minimum-norm table,
         or with ``gauge`` the reduced-gauge table of every party."""
+        tuples = _index_tuples(len(self.weights), self.t)
+        factors, _ = _factor_rows(self.stacks, self.weights, self.parties, tuples, 1)
         emb = _embedding(self.t, gauge)
-        cols = [f @ emb.T for f in self.factors]
+        cols = [f @ emb.T for f in factors]
         if self.parties == 2:
             return cols[0].T @ cols[1]
         return np.einsum("na,nb,nc->abc", *cols)
@@ -346,6 +366,33 @@ def _index_tuples(r: int, t: int) -> np.ndarray:
     return np.indices((r,) * t).reshape(t, -1).T
 
 
+@lru_cache(maxsize=None)
+def _multisets(r: int, t: int) -> tuple:
+    """(tuples, counts): the sorted representative of every multiset of t
+    indices below r, in lexicographic order, and its number of orderings."""
+    tuples, counts = np.unique(np.sort(_index_tuples(r, t), axis=1), axis=0, return_counts=True)
+    tuples.setflags(write=False)
+    counts.setflags(write=False)
+    return tuples, counts
+
+
+def _factor_rows(stacks, weights, parties: int, tuples: np.ndarray, counts) -> tuple:
+    """(factors, residual): the basis coefficients of each index tuple's
+    factor product, per party, with the tuple's weight times ``counts``
+    folded into the first party; a two-party table with more rows than |B|
+    collapses to [1, P^T Q].  ``residual`` is the largest solve residual."""
+    t = tuples.shape[1]
+    solved = [_solve_basis(_rhs_for_tuples(f, tuples), t) for f in stacks]
+    factors = [x for x, _ in solved]
+    if len(factors) < parties:  # symmetric decomposition, B_j = A_j
+        factors.append(factors[0])
+    factors[0] = (counts * np.prod(weights[tuples], axis=1))[:, None] * factors[0]
+    size = factors[0].shape[1]
+    if parties == 2 and len(tuples) > size:
+        factors = [np.eye(size), factors[0].T @ factors[1]]
+    return tuple(factors), max(res for _, res in solved)
+
+
 def twirl_coefficients(obs, t: int) -> TwirlCoefficients:
     """Coefficient table of the twirled observable at moment order t.
 
@@ -355,30 +402,23 @@ def twirl_coefficients(obs, t: int) -> TwirlCoefficients:
     if isinstance(obs, np.ndarray):
         obs = schmidt_decompose(obs)
     if isinstance(obs, SchmidtObservable):
-        values = obs.s
+        weights = np.asarray(obs.s)
         per_party = [obs.A] if obs.is_symmetric() else [obs.A, obs.B]
         parties = 2
     elif isinstance(obs, TripartiteObservable):
         if t > 3:
             raise ValueError("three-party twirl supports t <= 3")
-        values = obs.weights
+        weights = np.asarray(obs.weights)
         per_party = [[term[k] for term in obs.terms] for k in range(3)]
         parties = 3
     else:
         raise TypeError(f"unsupported observable type {type(obs)!r}")
-    tuples = _index_tuples(len(values), t)
-    # basis coefficients of every index tuple's factor product, per party
-    solved = [_solve_basis(_rhs_for_tuples(np.stack(f), tuples), t) for f in per_party]
-    factors = [x for x, _ in solved]
-    if len(factors) < parties:  # symmetric decomposition, B_j = A_j
-        factors.append(factors[0])
-    factors[0] = np.prod(np.asarray(values)[tuples], axis=1)[:, None] * factors[0]
+    stacks = tuple(np.stack(f) for f in per_party)
+    factors, residual = _factor_rows(stacks, weights, parties, *_multisets(len(weights), t))
     gram, cond = _basis_gram(t)
-    if parties == 2 and len(tuples) > len(gram):
-        factors = [np.eye(len(gram)), factors[0].T @ factors[1]]
     diagnostics = EngineDiagnostics(basis_size=len(gram), gram_condition=cond,
-                                    solve_residual=max(res for _, res in solved))
-    return TwirlCoefficients(t, parties, tuple(factors), diagnostics)
+                                    solve_residual=residual)
+    return TwirlCoefficients(t, parties, factors, diagnostics, stacks, weights)
 
 
 def exact_moment(obs, state, t: int) -> float:

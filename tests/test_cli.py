@@ -140,9 +140,19 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     obs = tmp_path / "odet.json"
     obs.write_text(json.dumps(odet_doc()))
     zero, eye = [0.0] * 3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    # density matrices that are not Hermitian or not of unit trace, whose
+    # Bloch extraction would silently drop the defect
+    mixed = [[[0.25 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
+    skew = json.loads(json.dumps(mixed))
+    skew[0][1] = [0.0, 1.0]
+    heavy = json.loads(json.dumps(mixed))
+    heavy[0][0] = [2.0, 0.0]
     docs = ([1, 2],
             {"qubits": [2], "alpha": zero, "beta": zero, "T": eye},
-            {"qubits": 2, "alpha": {"a": 1}, "beta": zero, "T": eye})
+            {"qubits": 2, "alpha": {"a": 1}, "beta": zero, "T": eye},
+            {"qubits": 2.7, "alpha": zero, "beta": zero, "T": eye},
+            {"qubits": 2, "matrix": skew},
+            {"qubits": 2, "matrix": heavy})
     for i, doc in enumerate(docs):
         state = tmp_path / f"state{i}.json"
         state.write_text(json.dumps(doc))

@@ -155,6 +155,19 @@ def test_padded_moment_is_marginal_moment(pair):
             ), name
 
 
+def test_kempe_builds_each_marginal_record_once(monkeypatch):
+    # nine marginal monomials across three pairs: one record per pair
+    built, original = [], ps.marginal_bloch
+
+    def counted(state, pair):
+        built.append(pair)
+        return original(state, pair)
+
+    monkeypatch.setattr(ps, "marginal_bloch", counted)
+    ps.recover_kempe(bloch_from_density(random_state("mixed", 3, 5200)))
+    assert sorted(built) == ["AB", "AC", "BC"]
+
+
 def test_kempe_linear_system_is_cached_read_only():
     calib, theta, theta_inv = ps._kempe_calibration()
     assert theta.shape == (len(calib), len(ps.KEMPE_TARGETS))

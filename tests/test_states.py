@@ -164,13 +164,17 @@ def test_json_roundtrip_bloch(rng):
 
 
 def test_json_matrix_format():
-    rho = states.random_state("mixed", 2, 3)
-    doc = states.state_to_json(rho)
-    assert doc["qubits"] == 2
-    back = states.state_from_json(doc)
-    np.testing.assert_allclose(
-        states.density_from_bloch(back), rho, atol=1e-12
-    )
+    # the matrix documents state_to_json writes pass the Hermiticity and
+    # unit-trace checks of state_from_json
+    for kind in ("pure", "mixed"):
+        for qubits in (2, 3):
+            rho = states.random_state(kind, qubits, 3)
+            doc = json.loads(json.dumps(states.state_to_json(rho)))
+            assert doc["qubits"] == qubits
+            back = states.state_from_json(doc)
+            np.testing.assert_allclose(
+                states.density_from_bloch(back), rho, atol=1e-12
+            )
 
 
 def is_physical(rho, tol=1e-10):

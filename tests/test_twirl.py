@@ -1,4 +1,6 @@
+from collections import Counter
 from functools import lru_cache
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -882,7 +884,59 @@ def test_engine_matches_full_group_reference(rng):
 def test_factor_rows_are_capped_at_basis_size(rng):
     for rank in (1, 4):
         co = twirl.twirl_coefficients(random_rank_observable(rng, rank), 6)
-        assert [f.shape for f in co.factors] == [(min(rank**6, 132), 132)] * 2
+        assert [f.shape for f in co.factors] == [(min(comb(6 + rank - 1, 6), 132), 132)] * 2
+
+
+def test_multisets_are_sorted_with_multinomial_counts():
+    for r in range(1, 5):
+        for t in range(1, 7):
+            tuples, counts = twirl._multisets(r, t)
+            rows = [tuple(row) for row in tuples.tolist()]
+            assert all(list(row) == sorted(row) for row in rows)
+            assert rows == sorted(set(rows)) and len(rows) == comb(t + r - 1, t)
+            for row, count in zip(rows, counts):
+                assert count == factorial(t) // prod(map(factorial, Counter(row).values()))
+            assert counts.sum() == r**t
+
+
+def _full_tuple_factors(obs, t):
+    """Factor rows over every ordered index tuple, weights folded into the
+    first party, collapsed to [1, P^T Q] past |B| rows for two parties."""
+    if isinstance(obs, TripartiteObservable):
+        per_party = [[term[k] for term in obs.terms] for k in range(3)]
+        values, parties = obs.weights, 3
+    else:
+        per_party = [obs.A] if obs.is_symmetric() else [obs.A, obs.B]
+        values, parties = obs.s, 2
+    tuples = twirl._index_tuples(len(values), t)
+    factors = [twirl._solve_basis(twirl._rhs_for_tuples(np.stack(f), tuples), t)[0]
+               for f in per_party]
+    if len(factors) < parties:
+        factors.append(factors[0])
+    factors[0] = np.prod(np.asarray(values)[tuples], axis=1)[:, None] * factors[0]
+    size = len(sg.commutant_basis(t))
+    if parties == 2 and len(tuples) > size:
+        factors = [np.eye(size), factors[0].T @ factors[1]]
+    return factors
+
+
+def test_multiset_rows_match_every_index_tuple(rng):
+    # every ordering of a multiset gives the same moment, so the multiset
+    # rows agree with the rows of every tuple on physical and non-physical
+    # records; the S_t tables are the full-tuple ones, bit for bit
+    states = {p: [random_bloch_record(p, rng),
+                  bloch_from_density(random_state("mixed", p, int(rng.integers(1000))))]
+              for p in (2, 3)}
+    for t, obs in _engine_cases(rng):
+        co = twirl.twirl_coefficients(obs, t)
+        factors = _full_tuple_factors(obs, t)
+        full = twirl.TwirlCoefficients(t, co.parties, tuple(factors), co.diagnostics,
+                                       co.stacks, co.weights)
+        for st in states[co.parties]:
+            assert co.moment(st) == pytest.approx(full.moment(st), rel=1e-10, abs=1e-12)
+        for gauge in (False, True):
+            want = _dense([f @ twirl._embedding(t, gauge).T for f in factors])
+            assert np.array_equal(_bits(co.dense(gauge=gauge)), _bits(want)), (t, gauge)
 
 
 def test_diagnostics_record(rng):
