@@ -36,7 +36,7 @@ from .states import (
     partial_transpose_bloch,
     random_state,
 )
-from .symgroup import Permutation, enumerate_group, gram_matrix, kernel_basis, v_matrix
+from .symgroup import Permutation, enumerate_group, gram_matrix, v_matrix
 from .twirl import (
     MomentDecomposition,
     TwirlCoefficients,
@@ -62,7 +62,7 @@ __all__ = [
     "ThreeQubitState", "TwoQubitState", "bell_state", "bloch_from_density",
     "density_from_bloch", "ghz_state", "maximally_mixed", "negativity",
     "partial_transpose_bloch", "random_state",
-    "Permutation", "enumerate_group", "gram_matrix", "kernel_basis", "v_matrix",
+    "Permutation", "enumerate_group", "gram_matrix", "v_matrix",
     "MomentDecomposition", "TwirlCoefficients", "decompose", "exact_moment",
     "odd_fit", "odd_part", "solve_factor_coefficients", "twirl_coefficients",
     "run_suite",

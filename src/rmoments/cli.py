@@ -171,14 +171,6 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _coerce_observable(terms, weights, parties: int):
-    if parties == 2:
-        return schmidt_decompose(dense_from_terms(terms, weights))
-    return TripartiteObservable(
-        [tuple(np.asarray(f, dtype=complex) for f in t) for t in terms], weights
-    )
-
-
 def _cmd_twirl(args) -> int:
     terms, weights = _load_observable(args.observable)
     parties = len(terms[0])
@@ -189,7 +181,10 @@ def _cmd_twirl(args) -> int:
     state = _load_state(args.state) if args.state else None
     if state is not None and state.parties != parties:
         raise DimensionError(f"a {parties}-party observable needs a {parties}-qubit state")
-    obs = _coerce_observable(terms, weights, parties)
+    if parties == 2:
+        obs = dense_from_terms(terms, weights)
+    else:
+        obs = TripartiteObservable(terms, weights)
     coeffs = twirl.twirl_coefficients(obs, args.t)
     doc = {"t": args.t, "parties": parties}
     dense = coeffs.dense(gauge=args.gauge == "reduced")
@@ -216,7 +211,10 @@ def _cmd_mc(args) -> int:
     dense = dense_from_terms(terms, weights)
     if dense.shape != rho.shape:
         raise DimensionError("observable and state act on different party counts")
-    est = mc_moment(dense, rho, args.t, args.samples, args.seed)
+    try:
+        est = mc_moment(dense, rho, args.t, args.samples, args.seed)
+    except OverflowError as exc:
+        raise InputError(str(exc)) from exc
     _emit(est.as_dict(), args.out)
     return EXIT_OK
 
@@ -233,6 +231,9 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
     )
     if args.invariant == "kempe":
+        if args.csv:
+            raise InputError("--csv traces a pipeline's primary observable; "
+                             "kempe recovery has none")
         if state.parties != 3:
             raise DimensionError("kempe recovery needs a three-qubit state")
         rep = protocol_sim.recover_kempe(state, None if args.exact else cfg)

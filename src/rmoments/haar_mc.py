@@ -90,7 +90,8 @@ def mc_moment(observable: np.ndarray, rho: np.ndarray, t: int,
 
     Averages tr(rho U^dag O U)^t over i.i.d. local-unitary tuples; each
     sample uses the exact expectation value, so the only randomness is the
-    Haar draw.  Deterministic per seed.
+    Haar draw.  Deterministic per seed.  Raises OverflowError when the
+    t-th powers, their mean or their spread overflow float64.
 
     With o and r the Pauli coefficients of O and rho, a sample's value is
     2^-n sum o_nu prod_p diag(1, R_p)[nu_p, mu_p] r_mu: per party one 4x4
@@ -118,8 +119,12 @@ def mc_moment(observable: np.ndarray, rho: np.ndarray, t: int,
         acc = rots[-1] @ w.T
         for p in range(parties - 2, -1, -1):
             acc = np.einsum("kij,kj->ki", acc.reshape(n, -1, 16), rots[p])
-        values[done:done + n] = acc[:, 0] ** t
+        with np.errstate(over="ignore"):
+            values[done:done + n] = acc[:, 0] ** t
         done += n
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        stderr = float(np.std(values, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    if not np.all(np.isfinite([mean, stderr])):
+        raise OverflowError(f"t-th powers of the samples overflow float64 at t={t}")
     return MCEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed)

@@ -17,17 +17,13 @@ SIGN_TOL = 1e-12
 def cofactor3(m: np.ndarray) -> np.ndarray:
     """Cofactor matrix of a 3x3 matrix, det(m) m^{-T} for invertible m.
 
-    Computed entrywise from 2x2 minors, so singular m is fine.  This is the
-    convention that makes 2 <alpha, cof(T) beta> a local-unitary invariant:
-    under T -> Ra T Rb^T the cofactor matrix transforms the same way as T.
+    Row i is the cross product of rows i+1 and i+2 (cyclically), so singular
+    m is fine.  This is the convention that makes 2 <alpha, cof(T) beta> a
+    local-unitary invariant: under T -> Ra T Rb^T the cofactor matrix
+    transforms the same way as T.
     """
     m = np.asarray(m, dtype=float)
-    cof = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
-    return cof
+    return np.cross(m[[1, 2, 0]], m[[2, 0, 1]])
 
 
 def _sign(x: float) -> int:
@@ -64,7 +60,10 @@ class MakhlinRecord:
     I17: int
     I18: int
 
-    CONTINUOUS = ("I1", "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9", "I12", "I13", "I14")
+    #: the continuous invariants with their degrees in the state coefficients
+    DEGREES = {"I1": 3, "I2": 2, "I3": 4, "I4": 2, "I5": 4, "I6": 6,
+               "I7": 2, "I8": 4, "I9": 6, "I12": 3, "I13": 5, "I14": 4}
+    CONTINUOUS = tuple(DEGREES)
     DISCRETE = ("I10", "I11", "I15", "I16", "I17", "I18")
 
     def continuous(self) -> dict:

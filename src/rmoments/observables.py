@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .haar_mc import haar_su2
 from .linalg import is_hermitian, kron
 from .paulis import PAULIS, PAULIS_NORMALIZED
 
@@ -31,10 +32,9 @@ class SchmidtObservable:
         return len(self.s)
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for w, a, b in zip(self.s, self.A, self.B):
-            out += w * kron(a, b)
-        return out
+        if not self.rank:
+            return np.zeros((4, 4), dtype=complex)
+        return dense_from_terms(list(zip(self.A, self.B)), self.s)
 
     def is_symmetric(self) -> bool:
         return all(np.max(np.abs(a - b)) <= 1e-10 for a, b in zip(self.A, self.B))
@@ -57,10 +57,9 @@ class TripartiteObservable:
         self.weights = np.asarray(self.weights, dtype=float)
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((8, 8), dtype=complex)
-        for w, (a, b, c) in zip(self.weights, self.terms):
-            out += w * kron(kron(a, b), c)
-        return out
+        if not self.terms:
+            return np.zeros((8, 8), dtype=complex)
+        return dense_from_terms(self.terms, self.weights)
 
 
 #: kron(P_mu, P_nu) of the normalized Pauli basis, at [mu, nu]
@@ -195,8 +194,6 @@ def rotated_pauli_sum(rng: np.random.Generator, s) -> SchmidtObservable:
     The family of symmetric observables whose third moment is exactly
     (s1 s2 s3 / 8) det(T) with no other invariant present.
     """
-    from .haar_mc import haar_su2
-
     s = np.asarray(s, dtype=float)
     u = haar_su2(rng)
     uu = kron(u, u)

@@ -25,7 +25,7 @@ on the pair's marginal: twirling the identity on the third party leaves the
 identity, so the padded observable's moment is the marginal's moment.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
@@ -40,7 +40,7 @@ from .observables import TripartiteObservable, dense_from_terms
 from .paulis import PAULIS, pauli_strings
 from .rng import substream
 from .states import (BlochRecord, ThreeQubitState, TwoQubitState, pauli_transfer,
-                     transfer_from_bloch)
+                     random_bloch_record, transfer_from_bloch)
 
 _I, _X, _Y, _Z = PAULIS
 RECOVERY_TOL = 1e-8
@@ -81,15 +81,9 @@ class RecoveryReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "invariant": self.invariant,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "reference": self.reference,
-            "settings_used": self.settings_used,
-        }
-        if self.details:
-            out["details"] = self.details
+        out = asdict(self)
+        if not self.details:
+            del out["details"]
         return out
 
 
@@ -503,8 +497,6 @@ def _kempe_calibration() -> tuple:
     """Exact table and three-qubit dictionary fit of each Kempe observable, keyed
     like ``kempe_observables``; the read-only target-coefficient matrix theta; its pinv."""
     rng = substream(977, "kempe.calibration")
-    from .states import random_bloch_record
-
     states = [random_bloch_record(3, rng) for _ in range(4 * len(THREE_QUBIT_MONOMIALS))]
     design = np.array([eval_three_qubit_monomials(THREE_QUBIT_MONOMIALS, s) for s in states])
     out = {}

@@ -201,14 +201,3 @@ def gram_matrix(t: int, d: int) -> np.ndarray:
     g.setflags(write=False)
     return g
 
-
-def kernel_basis(g: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(G), one column per vector.
-
-    Kernel vectors are exactly the coefficient vectors of linear
-    dependencies among the permutation operators, so any kernel shift of a
-    Gram-system solution leaves the reconstructed operator unchanged.
-    """
-    from .linalg import nullspace
-
-    return nullspace(np.asarray(g, dtype=float))

@@ -52,7 +52,8 @@ from itertools import groupby
 import numpy as np
 
 from . import symgroup as sg
-from .invariants import makhlin
+from .invariants import MakhlinRecord, makhlin
+from .linalg import nullspace
 from .observables import SchmidtObservable, TripartiteObservable, schmidt_decompose
 from .paulis import PAULIS
 from .rng import substream
@@ -221,7 +222,7 @@ def _gauge_shift(t: int):
     perms = sg.enumerate_group(t)
     index = {p.cycle_string(): i for i, p in enumerate(perms)}
     rows = np.array([index[name] for name in GAUGE_ZEROS[t]])
-    kernel = sg.kernel_basis(sg.gram_matrix(t, 2))
+    kernel = nullspace(sg.gram_matrix(t, 2))
     if kernel.shape[1] != len(rows):
         raise EngineError("kernel dimension does not match gauge constraint count")
     shift = -kernel @ np.linalg.inv(kernel[rows, :])
@@ -249,7 +250,7 @@ def _embedding(t: int, reduced: bool) -> np.ndarray:
     emb = np.zeros((len(perms), len(basis)))
     emb[[index[b] for b in basis], np.arange(len(basis))] = 1.0
     if len(basis) < len(perms):
-        kernel = sg.kernel_basis(sg.gram_matrix(t, 2))
+        kernel = nullspace(sg.gram_matrix(t, 2))
         emb -= kernel @ (kernel.T @ emb)
         if reduced and t in GAUGE_ZEROS:
             rows, shift = _gauge_shift(t)
@@ -348,9 +349,10 @@ def _apply_transfer(w: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:
     n = w.shape[0]
     # r is real, so it acts on the interleaved real and imaginary parts alike
     z = np.ascontiguousarray(w, dtype=complex).view(float)
+    # every shape spelled out, as a zero-row stack leaves no -1 to infer
     for k in range(t):
-        z = r @ z.reshape(n * 4**k, 4, -1)
-    return z.reshape(n, -1).view(complex)
+        z = r @ z.reshape(n * 4**k, 4, 2 * 4 ** (t - 1 - k))
+    return z.reshape(n, 2 * 4**t).view(complex)
 
 
 def as_bloch(state, parties: int = 2):
@@ -413,7 +415,8 @@ def twirl_coefficients(obs, t: int) -> TwirlCoefficients:
         parties = 3
     else:
         raise TypeError(f"unsupported observable type {type(obs)!r}")
-    stacks = tuple(np.stack(f) for f in per_party)
+    # reshape, not stack: a rank-0 observable has no factors, and its table no rows
+    stacks = tuple(np.reshape(f, (-1, 2, 2)) for f in per_party)
     factors, residual = _factor_rows(stacks, weights, parties, *_multisets(len(weights), t))
     gram, cond = _basis_gram(t)
     diagnostics = EngineDiagnostics(basis_size=len(gram), gram_condition=cond,
@@ -431,24 +434,16 @@ def exact_moment(obs, state, t: int) -> float:
 # Invariant dictionaries and moment decompositions
 # ---------------------------------------------------------------------------
 
-#: monomials in the continuous Makhlin invariants, keyed by total degree in
-#: the state coefficients
-_MAKHLIN_DEGREES = {
-    "I1": 3, "I2": 2, "I3": 4, "I4": 2, "I5": 4, "I6": 6,
-    "I7": 2, "I8": 4, "I9": 6, "I12": 3, "I13": 5, "I14": 4,
-}
-
-
 def dictionary_for(t: int) -> tuple:
     """All monomials in the continuous Makhlin invariants of total degree
     <= t, plus the constant.  The degree bound is forced: a t-th moment is a
     polynomial of degree <= t in the state coefficients."""
     names = ["1"]
-    gens = sorted(_MAKHLIN_DEGREES)
+    gens = sorted(MakhlinRecord.DEGREES)
     def expand(start, budget, current):
         for i in range(start, len(gens)):
             g = gens[i]
-            d = _MAKHLIN_DEGREES[g]
+            d = MakhlinRecord.DEGREES[g]
             if d <= budget:
                 mono = current + [g]
                 names.append("*".join(mono))

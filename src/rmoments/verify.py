@@ -18,7 +18,7 @@ from . import symgroup as sg
 from . import twirl
 from .haar_mc import mc_moment
 from .invariants import makhlin
-from .linalg import kron
+from .linalg import kron, nullspace
 from .observables import (
     TripartiteObservable,
     det_prefactor,
@@ -34,6 +34,7 @@ from .rng import substream
 from .states import (
     bell_state,
     bloch_from_density,
+    density_from_bloch,
     ghz_state,
     partial_transpose_bloch,
     random_bloch_record,
@@ -170,7 +171,7 @@ KERNEL_COMBOS_T4 = (
 def check_kernel_facts(seed: int):
     devs = []
     g3 = sg.gram_matrix(3, 2)
-    k3 = sg.kernel_basis(g3)
+    k3 = nullspace(g3)
     devs.append(abs(k3.shape[1] - 1))
     v = k3[:, 0] / k3[0, 0]
     devs.append(float(np.max(np.abs(v - np.array([1, -1, -1, -1, 1, 1])))))
@@ -179,7 +180,7 @@ def check_kernel_facts(seed: int):
     devs.append(float(np.max(np.abs(op))))
 
     g4 = sg.gram_matrix(4, 2)
-    k4 = sg.kernel_basis(g4)
+    k4 = nullspace(g4)
     devs.append(abs(k4.shape[1] - 10))
     perms4 = sg.enumerate_group(4)
     index = {p.cycle_string(): i for i, p in enumerate(perms4)}
@@ -429,8 +430,6 @@ def check_hodge_rank3_structure(seed: int, count: int = 120):
             seen_nonzero = max(seen_nonzero, abs(sol.coefficient("6*I1+I14")))
     # the 4-cycle trace pairs carry exactly -+(6 det + Hodge)/16; verified
     # with explicit 256x256 permutation matrices, independent of the engine
-    from .states import density_from_bloch
-
     byname = {p.cycle_string(): p for p in sg.enumerate_group(4)}
     pair_ops = {}
     for pb_name, sign in (("(1234)", -1.0), ("(1432)", +1.0)):
@@ -597,14 +596,11 @@ def run_suite(selection=None, seed: int = 2024, workers: int = 1) -> Verificatio
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {nm: pool.submit(_run_one, nm, seed) for nm in names}
+            futures = {nm: pool.submit(ALL_CHECKS[nm], seed) for nm in names}
             for nm in names:
                 report.checks.append(futures[nm].result())
     else:
         for nm in names:
-            report.checks.append(_run_one(nm, seed))
+            report.checks.append(ALL_CHECKS[nm](seed))
     return report
 
-
-def _run_one(name: str, seed: int) -> CheckResult:
-    return ALL_CHECKS[name](seed)

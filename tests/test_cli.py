@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import observable_to_json
@@ -121,6 +122,55 @@ def test_simulate_kempe_exact(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["estimate"] == pytest.approx(0.25, abs=1e-8)
     assert doc["settings_used"] == 2
+
+
+@pytest.mark.parametrize("exact", ([], ["--exact"]))
+def test_simulate_kempe_rejects_csv(tmp_path, capsys, exact):
+    # Kempe recovery has no single primary observable to trace
+    state = tmp_path / "ghz.json"
+    run(["state-gen", "--kind", "ghz", "--qubits", "3", "--out", str(state)])
+    csv = tmp_path / "trace.csv"
+    capsys.readouterr()
+    assert run(["simulate", "--state", str(state), "--invariant", "kempe",
+                "--unitaries", "50", "--shots", "20", *exact,
+                "--csv", str(csv)]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert not csv.exists()
+
+
+def test_twirl_zero_observable(tmp_path):
+    # a zero weight leaves no Schmidt term for two parties and one zero
+    # term for three; both give the zero table and moment
+    for qubits in (2, 3):
+        obs = tmp_path / f"zero{qubits}.json"
+        obs.write_text(json.dumps(observable_to_json([[Z] * qubits], [0.0])))
+        state = tmp_path / f"state{qubits}.json"
+        run(["state-gen", "--qubits", str(qubits), "--seed", "2", "--out", str(state)])
+        for t in (1, 2, 3):
+            out = tmp_path / "twirl.json"
+            assert run(["twirl", "--observable", str(obs), "--state", str(state),
+                        "--t", str(t), "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["moment"] == 0.0
+            for part in ("real", "imag"):
+                assert not np.any(doc["coefficients"][part])
+            if qubits == 2:
+                assert not any(doc["decomposition"]["coefficients"].values())
+    assert run(["twirl", "--observable", str(tmp_path / "zero2.json"), "--t", "2"]) == 0
+
+
+def test_mc_overflow_is_an_error(tmp_path, capsys):
+    # 3^800 overflows a float: no Infinity or NaN in the JSON
+    obs = tmp_path / "zz.json"
+    obs.write_text(json.dumps(observable_to_json([[Z, Z]], [3.0])))
+    state = tmp_path / "bell.json"
+    run(["state-gen", "--kind", "bell", "--out", str(state)])
+    capsys.readouterr()
+    assert run(["mc", "--observable", str(obs), "--state", str(state),
+                "--t", "800", "--samples", "2000"]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_verify_single_claim(tmp_path, capsys):

@@ -163,3 +163,13 @@ def test_bloch_mc_matches_dense_loop(qubits):
             mean, stderr = _dense_mc_moment(ob, rho, t, samples, seed)
             assert est.mean == pytest.approx(mean, rel=1e-12), (seed, t)
             assert est.stderr == pytest.approx(stderr, rel=1e-12), (seed, t)
+
+
+def test_mc_moment_raises_on_overflow():
+    # 3 Z x Z on a Bell state: |sample| reaches 3, and 3^800 overflows a
+    # float; at t = 640 every power is finite but their spread overflows
+    o = 3.0 * kron(Z, Z)
+    for t in (640, 800):
+        with pytest.raises(OverflowError):
+            mc_moment(o, bell_state(), t, 2000, 0)
+    assert np.isfinite(mc_moment(o, bell_state(), 40, 2000, 0).mean)

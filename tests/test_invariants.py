@@ -13,6 +13,61 @@ def test_cofactor_identity(rng):
     np.testing.assert_allclose(invariants.cofactor3(np.eye(3)), np.eye(3))
 
 
+def _cofactor_by_minors(m: np.ndarray) -> np.ndarray:
+    """Reference cofactor matrix, entry by entry from signed 2x2 minors."""
+    m = np.asarray(m, dtype=float)
+    cof = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
+            cof[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
+    return cof
+
+
+def _records_with_zeros(rng) -> list:
+    """Random Bloch records, some with zero rows, columns or entries of T
+    and zero entries of alpha or beta, plus Bell and the maximally mixed
+    state."""
+    recs = [states.random_bloch_record(2, rng) for _ in range(300)]
+    for k in range(120):
+        a, b, t = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3))
+        if k % 4 == 0:
+            t[k % 3] = 0.0
+        elif k % 4 == 1:
+            t[:, k % 3] = 0.0
+        elif k % 4 == 2:
+            t[rng.random((3, 3)) < 0.5] = 0.0
+        else:
+            t = np.diag(np.diag(t))
+        a[rng.random(3) < 0.3] = 0.0
+        b[rng.random(3) < 0.3] = 0.0
+        recs.append(states.TwoQubitState(a, b, t))
+    recs.append(states.bloch_from_density(states.bell_state()))
+    recs.append(states.bloch_from_density(states.maximally_mixed(2)))
+    return recs
+
+
+def test_cofactor_matches_minors_bit_for_bit(rng):
+    for rec in _records_with_zeros(rng):
+        cof = invariants.cofactor3(rec.T)
+        assert cof.flags.c_contiguous
+        # only the sign of a zero entry may differ: the minors negate x - y
+        # at odd positions where the cross product forms y - x.  Adding 0.0
+        # maps -0.0 to +0.0 and leaves the bits of every other value alone.
+        want = _cofactor_by_minors(rec.T) + 0.0
+        assert np.array_equal((cof + 0.0).view(np.int64), want.view(np.int64))
+        hodge = np.array(2.0 * float(rec.alpha @ _cofactor_by_minors(rec.T) @ rec.beta))
+        got = np.array(invariants.makhlin(rec).I14)
+        assert got.view(np.int64) == hodge.view(np.int64)
+
+
+def test_degrees_name_the_continuous_invariants():
+    rec = invariants.MakhlinRecord
+    assert rec.CONTINUOUS == tuple(rec.DEGREES)
+    assert set(rec.CONTINUOUS) | set(rec.DISCRETE) == set(rec.__dataclass_fields__)
+    assert not set(rec.CONTINUOUS) & set(rec.DISCRETE)
+
+
 def test_makhlin_bell(bell_record):
     rec = invariants.makhlin(bell_record)
     assert rec.I1 == pytest.approx(-1.0)

@@ -72,6 +72,33 @@ def test_realign_matches_per_call_kron(rng):
         assert np.array_equal(obs.realign(o).view(np.uint64), want.view(np.uint64))
 
 
+def test_matrix_matches_kron_sum_bit_for_bit(rng):
+    # .matrix() is dense_from_terms; compare it with the plain running sum
+    # of weighted Kronecker products, starting from a complex zero matrix
+    def kron_sum(weights, terms, dim):
+        out = np.zeros((dim, dim), dtype=complex)
+        for w, term in zip(weights, terms):
+            prod = term[0]
+            for f in term[1:]:
+                prod = np.kron(prod, f)
+            out += w * prod
+        return out
+
+    for k in range(1000):
+        two = obs.random_rank_observable(rng, 1 + k % 4)
+        want = kron_sum(two.s, list(zip(two.A, two.B)), 4)
+        assert np.array_equal(two.matrix().view(np.int64), want.view(np.int64))
+        weights = rng.standard_normal(1 + k % 3)
+        terms = [tuple(obs.random_hermitian(rng) for _ in range(3)) for _ in weights]
+        three = obs.TripartiteObservable(terms, weights)
+        want = kron_sum(weights, terms, 8)
+        assert np.array_equal(three.matrix().view(np.int64), want.view(np.int64))
+    empty = obs.schmidt_decompose(np.zeros((4, 4)))
+    assert empty.rank == 0
+    assert np.array_equal(empty.matrix(), np.zeros((4, 4)))
+    assert np.array_equal(obs.TripartiteObservable([]).matrix(), np.zeros((8, 8)))
+
+
 def test_traceless_projection():
     np.testing.assert_allclose(obs.traceless_projection(3.7 * I), np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(obs.traceless_projection(PAULIS_NORMALIZED[1]), [1, 0, 0], atol=1e-12)

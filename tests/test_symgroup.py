@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rmoments import symgroup as sg
-from rmoments.linalg import kron_all
+from rmoments.linalg import kron_all, nullspace
 from rmoments.paulis import PAULIS
 
 
@@ -192,17 +192,17 @@ def test_gram_matches_cycle_count_loop():
 
 
 def test_kernel_dimensions_and_vectors():
-    k3 = sg.kernel_basis(sg.gram_matrix(3, 2))
+    k3 = nullspace(sg.gram_matrix(3, 2))
     assert k3.shape[1] == 1
     v = k3[:, 0] / k3[0, 0]
     np.testing.assert_allclose(v, [1, -1, -1, -1, 1, 1], atol=1e-9)
-    assert sg.kernel_basis(sg.gram_matrix(4, 2)).shape[1] == 10
-    assert sg.kernel_basis(sg.gram_matrix(3, 3)).shape[1] == 0
+    assert nullspace(sg.gram_matrix(4, 2)).shape[1] == 10
+    assert nullspace(sg.gram_matrix(3, 3)).shape[1] == 0
 
 
 def test_kernel_vectors_are_operator_identities():
     for t in (3, 4):
-        kernel = sg.kernel_basis(sg.gram_matrix(t, 2))
+        kernel = nullspace(sg.gram_matrix(t, 2))
         perms = sg.enumerate_group(t)
         for col in range(kernel.shape[1]):
             op = sum(kernel[i, col] * sg.v_matrix(p, 2) for i, p in enumerate(perms))

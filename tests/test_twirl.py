@@ -995,3 +995,20 @@ def test_three_party_moment_matches_dense_contraction(rng):
             want = np.einsum("ka,kb,kc,abc->", wx, wy, wz, rt.reshape((4**t,) * 3)) / 8**t
             assert abs(want.imag) <= 1e-12
             assert co.moment(st) == pytest.approx(want.real, rel=1e-12, abs=1e-13)
+
+
+def test_zero_observable_gives_zero_table(rng):
+    # a rank-0 Schmidt decomposition has no terms, so the table has no rows
+    state = random_bloch_record(2, rng)
+    zero = np.zeros((4, 4))
+    assert schmidt_decompose(zero).rank == 0
+    for t in range(1, 7):
+        co = twirl.twirl_coefficients(zero, t)
+        assert co.moment(state) == 0.0
+        assert co.moment(bell_state()) == 0.0
+        for gauge in (False, True):
+            dense = co.dense(gauge=gauge)
+            assert dense.shape == (factorial(t),) * 2 and not np.any(dense)
+        dec = twirl.decompose(co, t)
+        assert not np.any(dec.coefficients) and dec.residual == 0.0
+    assert mc_moment(zero, bell_state(), 3, 100, 0).mean == 0.0
