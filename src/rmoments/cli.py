@@ -185,7 +185,10 @@ def _cmd_twirl(args) -> int:
         obs = dense_from_terms(terms, weights)
     else:
         obs = TripartiteObservable(terms, weights)
-    coeffs = twirl.twirl_coefficients(obs, args.t)
+    try:
+        coeffs = twirl.twirl_coefficients(obs, args.t)
+    except OverflowError as exc:
+        raise InputError(str(exc)) from exc
     doc = {"t": args.t, "parties": parties}
     dense = coeffs.dense(gauge=args.gauge == "reduced")
     perms = [p.cycle_string() for p in symgroup.enumerate_group(args.t)]

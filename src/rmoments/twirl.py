@@ -29,7 +29,11 @@ A two-party table is one factor pair (P W_B, Q W_B) with P^T Q the
 coefficient table on B x B.  It has k = min(n_rows, |B|) rows: with few
 multisets n, P holds w_n x_n and Q holds y_n; otherwise P = 1 and
 Q = sum_n w_n x_n y_n^T.  The moment is then the one contraction
-<P W_B, R^xt (Q W_B)> / 4^t with R the state's transfer matrix.
+<P W_B, R^xt (Q W_B)> / 4^t with R the state's transfer matrix.  Both
+Pauli factors are kept string-major, as (4^t, k) columns, so R acts on one
+copy's index at a time over the trailing 4^(t-1-j) k columns: each of the
+t steps is one wide product on contiguous blocks (the mode-by-mode
+Kronecker product of Van Loan, J. Comput. Appl. Math. 123 (2000)).
 Three-party tables (t <= 3) keep one factor triple per multiset.  The
 rows of W_B are sparse, so their contraction with R3^xt reduces, once per
 table, to a short weighted sum of products of t entries of R3.
@@ -289,15 +293,15 @@ class TwirlCoefficients:
     diagnostics: EngineDiagnostics
     stacks: tuple
     weights: np.ndarray
-    _pauli: tuple = field(init=False, repr=False)   # factors @ W_B, full length
+    _pauli: tuple = field(init=False, repr=False)   # (factors @ W_B)^T, full length
 
     def __post_init__(self):
         codes, w = _basis_w(self.t)
-        self._pauli = tuple(np.zeros((len(f), 4**self.t), dtype=complex) for f in self.factors)
+        self._pauli = tuple(np.zeros((4**self.t, len(f)), dtype=complex) for f in self.factors)
         for f, full in zip(self.factors, self._pauli):
             # the collapsed first factor of a many-row table is the identity
             identity = f.shape == (len(w), len(w)) and np.array_equal(f, np.eye(len(w)))
-            full[:, codes] = w if identity else f @ w
+            full[codes] = w.T if identity else (f @ w).T
 
     def dense(self, gauge: bool = False) -> np.ndarray:
         """Full coefficient table over S_t^parties: the minimum-norm table,
@@ -317,7 +321,7 @@ class TwirlCoefficients:
         t = self.t
         if self.parties == 2:
             pw, qw = self._pauli
-            val = np.einsum("kc,kc->", pw, _apply_transfer(qw, r, t)) / 4**t
+            val = np.einsum("ck,ck->", pw, _apply_transfer(qw, r, t)) / 4**t
         else:
             idx, weights = self._triple_terms
             val = complex(*(weights @ np.prod(r.reshape(-1)[idx], axis=0)))
@@ -334,7 +338,7 @@ class TwirlCoefficients:
         weights @ prod_s R3.flat[idx[s]] (real and imaginary row): the terms
         on the support of W_B, merged over reorderings of the t copies."""
         sup, t = _basis_w(self.t)[0], self.t
-        coef = np.einsum("ka,kb,kc->abc", *(w[:, sup] for w in self._pauli)).ravel() / 8**t
+        coef = np.einsum("ak,bk,ck->abc", *(w[sup] for w in self._pauli)).ravel() / 8**t
         # flat R3 index (a_s, b_s, c_s) of copy s for every support triple
         d = np.array(np.unravel_index(sup, (4,) * t))
         idx = 16 * d[:, :, None, None] + 4 * d[:, None, :, None] + d[:, None, None, :]
@@ -345,14 +349,15 @@ class TwirlCoefficients:
 
 
 def _apply_transfer(w: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:
-    """Apply R^xt to a stack of coefficient vectors over Pauli strings."""
-    n = w.shape[0]
+    """Apply R^xt to the (4^t, n) columns of coefficient vectors over Pauli
+    strings, one copy's index at a time over contiguous trailing blocks."""
+    n = w.shape[1]
     # r is real, so it acts on the interleaved real and imaginary parts alike
     z = np.ascontiguousarray(w, dtype=complex).view(float)
-    # every shape spelled out, as a zero-row stack leaves no -1 to infer
-    for k in range(t):
-        z = r @ z.reshape(n * 4**k, 4, 2 * 4 ** (t - 1 - k))
-    return z.reshape(n, 2 * 4**t).view(complex)
+    # every shape spelled out, as a zero-column stack leaves no -1 to infer
+    for j in range(t):
+        z = r @ z.reshape(4**j, 4, 4 ** (t - 1 - j) * 2 * n)
+    return z.reshape(4**t, 2 * n).view(complex)
 
 
 def as_bloch(state, parties: int = 2):
@@ -417,11 +422,17 @@ def twirl_coefficients(obs, t: int) -> TwirlCoefficients:
         raise TypeError(f"unsupported observable type {type(obs)!r}")
     # reshape, not stack: a rank-0 observable has no factors, and its table no rows
     stacks = tuple(np.reshape(f, (-1, 2, 2)) for f in per_party)
-    factors, residual = _factor_rows(stacks, weights, parties, *_multisets(len(weights), t))
     gram, cond = _basis_gram(t)
-    diagnostics = EngineDiagnostics(basis_size=len(gram), gram_condition=cond,
-                                    solve_residual=residual)
-    return TwirlCoefficients(t, parties, factors, diagnostics, stacks, weights)
+    # a table scales as the t-th power of the weights: an overflow in its
+    # factor rows or their Pauli factors is an error, with no RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors, residual = _factor_rows(stacks, weights, parties, *_multisets(len(weights), t))
+        diagnostics = EngineDiagnostics(basis_size=len(gram), gram_condition=cond,
+                                        solve_residual=residual)
+        coeffs = TwirlCoefficients(t, parties, factors, diagnostics, stacks, weights)
+    if not all(np.all(np.isfinite(a)) for a in (*factors, *coeffs._pauli)):
+        raise OverflowError(f"the order-{t} table of these weights overflows a float")
+    return coeffs
 
 
 def exact_moment(obs, state, t: int) -> float:

@@ -173,6 +173,21 @@ def test_mc_overflow_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_twirl_overflow_is_an_error(tmp_path, capsys):
+    # Z x Z at weight 1e200 overflows a float at t = 2 and at weight 1e100
+    # at t = 4: no NaN table or moment in the JSON
+    state = tmp_path / "bell.json"
+    run(["state-gen", "--kind", "bell", "--out", str(state)])
+    for weight, t in ((1e200, 2), (1e100, 4)):
+        obs = tmp_path / "zzbig.json"
+        obs.write_text(json.dumps(observable_to_json([[Z, Z]], [weight])))
+        capsys.readouterr()
+        assert run(["twirl", "--observable", str(obs), "--state", str(state),
+                    "--t", str(t)]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_verify_single_claim(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["verify", "--claim", "gram_values", "--seed", "7",

@@ -282,7 +282,7 @@ def test_pair_trace_matches_engine_contraction(rng):
         for _ in range(8):
             ia, ib = rng.integers(0, len(perms), 2)
             brute = np.trace(rhot @ joint_v(perms[ia], perms[ib], t))
-            z = twirl._apply_transfer(w[ib][None, :], r, t)[0]
+            z = twirl._apply_transfer(w[ib][:, None], r, t)[:, 0]
             assert (w[ia] @ z) / 4**t == pytest.approx(brute, abs=1e-12)
 
 
@@ -969,7 +969,78 @@ def test_pauli_factors_match_the_full_trace_table(rng):
     tables += [co for name in ps.PIPELINES for co in ps._pipeline_engines(name)]
     for co in tables:
         for f, p in zip(co.factors, co._pauli):
-            assert np.array_equal(p, f @ full[co.t])
+            assert p.shape == (4**co.t, len(f))
+            assert np.array_equal(p, (f @ full[co.t]).T)
+
+
+def _row_major_transfer(w, r, t):
+    """R^xt on (n, 4^t) rows, copy by copy over n 4^k leading blocks: the
+    row-major reference for the engine's string-major columns."""
+    n = w.shape[0]
+    z = np.ascontiguousarray(w, dtype=complex).view(float)
+    for k in range(t):
+        z = r @ z.reshape(n * 4**k, 4, 2 * 4 ** (t - 1 - k))
+    return z.reshape(n, 2 * 4**t).view(complex)
+
+
+def _row_major_moment(co, state):
+    """The moment contracted over (k, 4^t) Pauli factor rows: the row-major
+    reference for ``TwirlCoefficients.moment``."""
+    codes, w = twirl._basis_w(co.t)
+    rows = []
+    for f in co.factors:
+        full = np.zeros((len(f), 4**co.t), dtype=complex)
+        identity = f.shape == (len(w), len(w)) and np.array_equal(f, np.eye(len(w)))
+        full[:, codes] = w if identity else f @ w
+        rows.append(full)
+    r = transfer_from_bloch(state)
+    t = co.t
+    if co.parties == 2:
+        return np.einsum("kc,kc->", rows[0], _row_major_transfer(rows[1], r, t)).real / 4**t
+    coef = np.einsum("ka,kb,kc->abc", *(x[:, codes] for x in rows)).ravel() / 8**t
+    d = np.array(np.unravel_index(codes, (4,) * t))
+    idx = 16 * d[:, :, None, None] + 4 * d[:, None, :, None] + d[:, None, None, :]
+    key = np.ravel_multi_index(np.sort(idx.reshape(t, -1)[:, coef != 0], axis=0), (64,) * t)
+    uniq, inv = np.unique(key, return_inverse=True)
+    weights = [np.bincount(inv, part[coef != 0], len(uniq)) for part in (coef.real, coef.imag)]
+    idx = np.array(np.unravel_index(uniq, (64,) * t))
+    return (np.array(weights) @ np.prod(r.reshape(-1)[idx], axis=0))[0]
+
+
+def test_transfer_matches_row_major_kernel_bit_for_bit(rng):
+    # the columns form the same four-term sums as the row-major kernel,
+    # whose result they hold transposed; at t <= 4 both equal R^xt formed
+    # densely
+    r = transfer_from_bloch(random_bloch_record(2, rng))
+    for t in range(1, 7):
+        for n in (0, 1, 7, 84):
+            w = rng.normal(size=(4**t, n)) + 1j * rng.normal(size=(4**t, n))
+            got = twirl._apply_transfer(w, r, t)
+            assert got.shape == (4**t, n)
+            want = _row_major_transfer(np.ascontiguousarray(w.T), r, t)
+            assert np.array_equal(_bits(got), _bits(want.T)), (t, n)
+            if t <= 4:
+                dense = r
+                for _ in range(t - 1):
+                    dense = np.kron(dense, r)
+                np.testing.assert_allclose(got, dense @ w, rtol=1e-12, atol=1e-12)
+
+
+def test_moments_match_row_major_contraction(rng):
+    # only the order of the final reduction moved: a two-party table with
+    # one row and every three-party table (whose support products sum over
+    # the rows in the same order) give the row-major moment bit for bit;
+    # many-row two-party tables agree to rounding
+    states = {p: [random_bloch_record(p, rng),
+                  bloch_from_density(random_state("mixed", p, int(rng.integers(1000))))]
+              for p in (2, 3)}
+    for t, obs in _engine_cases(rng):
+        co = twirl.twirl_coefficients(obs, t)
+        for st in states[co.parties]:
+            got, want = co.moment(st), _row_major_moment(co, st)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-14), (t, co.parties)
+            if co.parties == 3 or len(co.factors[0]) == 1:
+                assert got == want, (t, co.parties)
 
 
 def test_three_party_moment_matches_dense_contraction(rng):
@@ -1012,3 +1083,17 @@ def test_zero_observable_gives_zero_table(rng):
         dec = twirl.decompose(co, t)
         assert not np.any(dec.coefficients) and dec.residual == 0.0
     assert mc_moment(zero, bell_state(), 3, 100, 0).mean == 0.0
+
+
+def test_overflowing_table_is_an_error():
+    # a table scales as the t-th power of the weights: at 1e200 (t = 2) and
+    # 1e100 (t = 4) the weights' powers overflow, at 1e51 (t = 6) every
+    # factor row is finite but a Pauli factor is not; RuntimeWarnings are
+    # errors under pytest, so none escapes
+    zz = np.kron(Z, Z)
+    for weight, t in ((1e200, 2), (1e100, 4), (1e51, 6)):
+        with pytest.raises(OverflowError):
+            twirl.twirl_coefficients(weight * zz, t)
+    with pytest.raises(OverflowError):
+        twirl.twirl_coefficients(TripartiteObservable([(Z, Z, Z)], [1e200]), 2)
+    assert np.isfinite(twirl.twirl_coefficients(1e50 * zz, 6).moment(bell_state()))
