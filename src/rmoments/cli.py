@@ -2,7 +2,7 @@
 reproducible seeds and JSON/CSV output.
 
 Exit codes: 0 success, 1 failed verification check, 2 malformed input
-document, 3 dimension mismatch.
+document or a result that overflows a float, 3 dimension mismatch.
 """
 
 import argparse
@@ -121,7 +121,10 @@ def _load_observable(path: str):
 
 
 def _emit(doc: dict, out: str):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(f"the result is not finite ({exc})") from exc
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -160,7 +163,7 @@ def _cmd_classify(args) -> int:
     terms, weights = _load_observable(args.observable)
     if len(terms[0]) != 2:
         raise DimensionError("classify expects a two-party observable")
-    dense = dense_from_terms(terms, weights)
+    dense = dense_from_terms(terms, weights, 2)
     dec = schmidt_decompose(dense, rank_tolerance=args.rank_tolerance)
     doc = {
         "rank": dec.rank,
@@ -182,13 +185,10 @@ def _cmd_twirl(args) -> int:
     if state is not None and state.parties != parties:
         raise DimensionError(f"a {parties}-party observable needs a {parties}-qubit state")
     if parties == 2:
-        obs = dense_from_terms(terms, weights)
+        obs = dense_from_terms(terms, weights, 2)
     else:
         obs = TripartiteObservable(terms, weights)
-    try:
-        coeffs = twirl.twirl_coefficients(obs, args.t)
-    except OverflowError as exc:
-        raise InputError(str(exc)) from exc
+    coeffs = twirl.twirl_coefficients(obs, args.t)
     doc = {"t": args.t, "parties": parties}
     dense = coeffs.dense(gauge=args.gauge == "reduced")
     perms = [p.cycle_string() for p in symgroup.enumerate_group(args.t)]
@@ -211,14 +211,10 @@ def _cmd_mc(args) -> int:
     terms, weights = _load_observable(args.observable)
     state = _load_state(args.state)
     rho = density_from_bloch(state)
-    dense = dense_from_terms(terms, weights)
+    dense = dense_from_terms(terms, weights, len(terms[0]))
     if dense.shape != rho.shape:
         raise DimensionError("observable and state act on different party counts")
-    try:
-        est = mc_moment(dense, rho, args.t, args.samples, args.seed)
-    except OverflowError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(est.as_dict(), args.out)
+    _emit(mc_moment(dense, rho, args.t, args.samples, args.seed).as_dict(), args.out)
     return EXIT_OK
 
 
@@ -355,7 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except DimensionError as exc:

@@ -32,9 +32,7 @@ class SchmidtObservable:
         return len(self.s)
 
     def matrix(self) -> np.ndarray:
-        if not self.rank:
-            return np.zeros((4, 4), dtype=complex)
-        return dense_from_terms(list(zip(self.A, self.B)), self.s)
+        return dense_from_terms(list(zip(self.A, self.B)), self.s, 2)
 
     def is_symmetric(self) -> bool:
         return all(np.max(np.abs(a - b)) <= 1e-10 for a, b in zip(self.A, self.B))
@@ -57,9 +55,7 @@ class TripartiteObservable:
         self.weights = np.asarray(self.weights, dtype=float)
 
     def matrix(self) -> np.ndarray:
-        if not self.terms:
-            return np.zeros((8, 8), dtype=complex)
-        return dense_from_terms(self.terms, self.weights)
+        return dense_from_terms(self.terms, self.weights, 3)
 
 
 #: kron(P_mu, P_nu) of the normalized Pauli basis, at [mu, nu]
@@ -232,9 +228,9 @@ def observable_from_json(doc: dict):
     return terms, np.asarray(weights)
 
 
-def dense_from_terms(terms, weights) -> np.ndarray:
-    n = len(terms[0])
-    out = np.zeros((2**n, 2**n), dtype=complex)
+def dense_from_terms(terms, weights, parties: int) -> np.ndarray:
+    """sum_k w_k F_k1 x ... x F_kn over ``parties`` qubits; zero without terms."""
+    out = np.zeros((2**parties, 2**parties), dtype=complex)
     for w, term in zip(weights, terms):
         prod = term[0]
         for f in term[1:]:

@@ -298,13 +298,9 @@ EXPECTED_SETTINGS = {
 def _pipeline_engines(name: str):
     """Exact coefficient tables for each measurement setting group."""
     pipe = PIPELINES[name]
-    first = twirl.twirl_coefficients(dense_from_terms(pipe.terms, np.ones(len(pipe.terms))), pipe.t)
-    if pipe.difference is None:
-        return (first,)
-    second = twirl.twirl_coefficients(
-        dense_from_terms(pipe.difference, np.ones(len(pipe.difference))), pipe.t
-    )
-    return (first, second)
+    groups = (pipe.terms,) if pipe.difference is None else (pipe.terms, pipe.difference)
+    return tuple(twirl.twirl_coefficients(dense_from_terms(terms, np.ones(len(terms)), 2), pipe.t)
+                 for terms in groups)
 
 
 @lru_cache(maxsize=None)

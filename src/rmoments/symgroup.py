@@ -17,6 +17,7 @@ Conventions pinned here and relied on everywhere else:
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _iter_permutations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -97,6 +98,12 @@ def enumerate_group(t: int) -> tuple:
     return tuple(sorted(elems, key=_canonical_key))
 
 
+@lru_cache(maxsize=None)
+def cycle_index(t: int) -> MappingProxyType:
+    """Read-only map from cycle notation to position in ``enumerate_group(t)``."""
+    return MappingProxyType({p.cycle_string(): i for i, p in enumerate(enumerate_group(t))})
+
+
 def _longest_decreasing(images) -> int:
     best = []
     for i, v in enumerate(images):
@@ -140,28 +147,6 @@ def v_matrix(p: Permutation, d: int) -> np.ndarray:
     v = np.zeros((dim, dim), dtype=complex)
     v[rows, cols] = 1.0
     return v
-
-
-def trace_with_v(matrices, p: Permutation) -> complex:
-    """tr(A_1 x ... x A_t V_pi) via the cycle-product formula.
-
-    Equals the product over cycles of tr(A_m A_{pi(m)} A_{pi^2(m)} ...),
-    with m the cycle start; O(t d^3) without building V_pi.
-    """
-    mats = [np.asarray(m) for m in matrices]
-    if len(mats) != p.size:
-        raise ValueError("one matrix per tensor slot required")
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValueError("all matrices must share the same square dimension")
-    total = 1.0 + 0.0j
-    for cyc in p.cycles():
-        prod = mats[cyc[0]]
-        for i in cyc[1:]:
-            prod = prod @ mats[i]
-        total *= np.trace(prod)
-    return total
 
 
 _GRAM_ROW_BLOCK = 64

@@ -49,6 +49,7 @@ gives the reduced-gauge table in which a designated set of coefficients
 vanishes.
 """
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import groupby
@@ -196,8 +197,7 @@ def solve_factor_coefficients(factors) -> np.ndarray:
     t = len(factors)
     if any(f.shape != (2, 2) for f in factors):
         raise ValueError("factors must be 2x2 matrices")
-    rhs = np.array([sg.trace_with_v(factors, p) for p in sg.commutant_basis(t)])
-    x, _ = _solve_basis(rhs[None, :], t)
+    x, _ = _solve_basis(_rhs_for_tuples(np.array(factors), np.arange(t)[None]), t)
     return _embedding(t, False) @ x[0]
 
 
@@ -213,20 +213,22 @@ GAUGE_ZEROS = {
         "(12)(34)", "(13)(24)", "(14)(23)"),
 }
 
-REDUCED_SUPPORT_T4 = (
-    "()", "(12)", "(13)", "(14)", "(23)", "(24)", "(34)",
-    "(123)", "(1234)", "(1243)", "(1324)", "(1342)", "(1423)", "(1432)",
-)
+
+@lru_cache(maxsize=None)
+def _gram_kernel(t: int) -> np.ndarray:
+    """Orthonormal kernel of the full Gram matrix of S_t, one column per
+    linear dependency among the V_pi."""
+    kernel = nullspace(sg.gram_matrix(t, 2))
+    kernel.setflags(write=False)
+    return kernel
 
 
 @lru_cache(maxsize=None)
 def _gauge_shift(t: int):
     """Pair (rows, shift) such that x + shift @ x[rows] zeroes the
     designated coefficients while staying in the solution set."""
-    perms = sg.enumerate_group(t)
-    index = {p.cycle_string(): i for i, p in enumerate(perms)}
-    rows = np.array([index[name] for name in GAUGE_ZEROS[t]])
-    kernel = nullspace(sg.gram_matrix(t, 2))
+    rows = np.array([sg.cycle_index(t)[name] for name in GAUGE_ZEROS[t]])
+    kernel = _gram_kernel(t)
     if kernel.shape[1] != len(rows):
         raise EngineError("kernel dimension does not match gauge constraint count")
     shift = -kernel @ np.linalg.inv(kernel[rows, :])
@@ -248,17 +250,15 @@ def gauge_fix(x: np.ndarray, t: int) -> np.ndarray:
 def _embedding(t: int, reduced: bool) -> np.ndarray:
     """Real (t!, |B|) map from basis coefficients to a full S_t solution:
     the minimum-norm one or, with ``reduced``, the gauge-fixed one."""
-    perms = sg.enumerate_group(t)
-    index = {p: i for i, p in enumerate(perms)}
-    basis = sg.commutant_basis(t)
-    emb = np.zeros((len(perms), len(basis)))
-    emb[[index[b] for b in basis], np.arange(len(basis))] = 1.0
-    if len(basis) < len(perms):
-        kernel = nullspace(sg.gram_matrix(t, 2))
+    if reduced:
+        # each column is a solution over S_t: gauge-fix the rows of the transpose
+        emb = np.ascontiguousarray(gauge_fix(_embedding(t, False).T, t).real.T)
+    else:
+        index, basis = sg.cycle_index(t), sg.commutant_basis(t)
+        emb = np.zeros((len(index), len(basis)))
+        emb[[index[b.cycle_string()] for b in basis], np.arange(len(basis))] = 1.0
+        kernel = _gram_kernel(t)
         emb -= kernel @ (kernel.T @ emb)
-        if reduced and t in GAUGE_ZEROS:
-            rows, shift = _gauge_shift(t)
-            emb += shift @ emb[rows]
     emb.setflags(write=False)
     return emb
 
@@ -321,10 +321,15 @@ class TwirlCoefficients:
         t = self.t
         if self.parties == 2:
             pw, qw = self._pauli
-            val = np.einsum("ck,ck->", pw, _apply_transfer(qw, r, t)) / 4**t
+            val = np.einsum("ck,ck->", pw, _apply_transfer(qw, r, t))
         else:
             idx, weights = self._triple_terms
             val = complex(*(weights @ np.prod(r.reshape(-1)[idx], axis=0)))
+        # a finite table can still overflow on a large non-physical record
+        if not cmath.isfinite(val):
+            raise OverflowError(f"the order-{t} moment of this state overflows a float")
+        if self.parties == 2:
+            val /= 4**t
         if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
             raise EngineError(f"moment has imaginary residue {val.imag:.2e}")
         return float(val.real)
@@ -563,8 +568,7 @@ def chat_vector(coeffs: TwirlCoefficients) -> np.ndarray:
     if coeffs.parties != 3 or coeffs.t != 3:
         raise ValueError("chat_vector needs a three-party t=3 table")
     dense = coeffs.dense(gauge=True)
-    perms = sg.enumerate_group(3)
-    idx = {p.cycle_string(): i for i, p in enumerate(perms)}
+    idx = sg.cycle_index(3)
     swaps = ["(12)", "(13)", "(23)"]
     def val(a, b, c):
         return dense[idx[a], idx[b], idx[c]]

@@ -182,8 +182,7 @@ def check_kernel_facts(seed: int):
     g4 = sg.gram_matrix(4, 2)
     k4 = nullspace(g4)
     devs.append(abs(k4.shape[1] - 10))
-    perms4 = sg.enumerate_group(4)
-    index = {p.cycle_string(): i for i, p in enumerate(perms4)}
+    perms4, index = sg.enumerate_group(4), sg.cycle_index(4)
     proj = k4 @ k4.T  # orthogonal projector onto the kernel
     for combo in KERNEL_COMBOS_T4:
         vec = np.zeros(24)
@@ -325,8 +324,7 @@ def check_det_t4_nogo(seed: int, count: int = 200):
         fit = twirl.odd_fit(obs, 4)
         dev = max(dev, float(np.max(np.abs(fit.coefficients))), fit.residual)
     # coefficient symmetry under 4-cycle inversion, reduced gauge, rank 2
-    perms4 = sg.enumerate_group(4)
-    index = {p.cycle_string(): i for i, p in enumerate(perms4)}
+    index = sg.cycle_index(4)
     for _ in range(20):
         frame = random_orthonormal_hermitian(rng, 2)
         for jj in _product(range(2), repeat=4):
@@ -375,8 +373,7 @@ def check_hodge_t4_nogo(seed: int, count: int = 200):
         fit = twirl.odd_fit(obs, 4)
         dev_coeff = max(dev_coeff, abs(fit.coefficient("I14")), fit.residual)
     dev_cond = 0.0
-    perms4 = sg.enumerate_group(4)
-    index = {p.cycle_string(): i for i, p in enumerate(perms4)}
+    index = sg.cycle_index(4)
     for _ in range(30):
         a, b, c = random_orthonormal_hermitian(rng, 3)
         dev_cond = max(dev_cond, max(abs(e) for e in _condition_expressions(a, b, c)))
@@ -470,8 +467,7 @@ def check_hodge_recoverable(seed: int, count: int = 100):
 def check_x123_vanishing(seed: int, count: int = 200):
     rng = substream(seed, "verify", "x123_vanishing")
     dev = 0.0
-    perms3 = sg.enumerate_group(3)
-    index = {p.cycle_string(): i for i, p in enumerate(perms3)}
+    index = sg.cycle_index(3)
     for _ in range(count):
         a, b = random_orthonormal_hermitian(rng, 2)
         ta, tb = np.trace(a), np.trace(b)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from rmoments import symgroup as sg
+from rmoments.linalg import kron_all
 from rmoments.states import bell_state, bloch_from_density, ghz_state
 
 
@@ -18,6 +20,12 @@ def observable_to_json(terms, weights=None) -> dict:
             for w, term in zip(weights, terms)
         ]
     }
+
+
+def brute_trace(factors, p) -> complex:
+    """tr(F_1 x ... x F_t V_p) for 2x2 factors, from the dense operators:
+    the reference for the engine's cycle-product traces."""
+    return complex(np.trace(kron_all(factors) @ sg.v_matrix(p, 2)))
 
 
 @pytest.fixture

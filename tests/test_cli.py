@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,44 @@ def test_twirl_overflow_is_an_error(tmp_path, capsys):
                     "--t", str(t)]) == cli.EXIT_BAD_INPUT
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_overflowing_results_are_errors(tmp_path, capsys):
+    # each result overflows a float: a moment of a finite table on a large
+    # non-physical record, invariants of huge correlations, and recoveries
+    # and Monte Carlo on them; every command exits 2 with an error line and
+    # prints nothing, no Infinity or NaN.  numpy's overflow RuntimeWarnings
+    # on the way are recorded here, not raised
+    zero, zero3 = [0.0] * 3, [[0.0] * 3] * 3
+    huge = np.diag([1e110] * 3).tolist()
+    huge3 = np.diag([1e200] * 3).tolist()
+    docs = {
+        "bigT": {"qubits": 2, "alpha": zero, "beta": zero,
+                 "T": np.diag([0.0, 0.0, 1e3]).tolist()},
+        "hugeT": {"qubits": 2, "alpha": zero, "beta": zero, "T": huge},
+        "hugeT3": {"qubits": 3, "alpha": zero, "beta": zero, "gamma": zero,
+                   "TAB": huge3, "TBC": huge3, "TCA": huge3, "W": [zero3] * 3},
+        "zz50": observable_to_json([[Z, Z]], [1e50]),
+        "odet": odet_doc(),
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    cases = (["twirl", "--observable", "zz50", "--t", "6", "--state", "bigT"],
+             ["invariants", "--state", "hugeT"],
+             ["simulate", "--invariant", "I3", "--exact", "--state", "hugeT"],
+             ["mc", "--observable", "odet", "--t", "3", "--samples", "100", "--state", "hugeT"],
+             ["invariants", "--state", "hugeT3"],
+             ["simulate", "--invariant", "kempe", "--exact", "--state", "hugeT3"])
+    for argv in cases:
+        argv = [str(tmp_path / f"{a}.json") if a in docs else a for a in argv]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            assert run(argv + ["--out", str(tmp_path / "out.json")]) == cli.EXIT_BAD_INPUT, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == "", argv
+        assert not (tmp_path / "out.json").exists(), argv
+        assert all(w.category is RuntimeWarning for w in caught), argv
 
 
 def test_verify_single_claim(tmp_path, capsys):

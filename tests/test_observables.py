@@ -97,6 +97,9 @@ def test_matrix_matches_kron_sum_bit_for_bit(rng):
     assert empty.rank == 0
     assert np.array_equal(empty.matrix(), np.zeros((4, 4)))
     assert np.array_equal(obs.TripartiteObservable([]).matrix(), np.zeros((8, 8)))
+    for parties in (1, 2, 3):
+        dim = 2**parties
+        assert np.array_equal(obs.dense_from_terms([], [], parties), np.zeros((dim, dim)))
 
 
 def test_traceless_projection():
@@ -160,8 +163,8 @@ def test_observable_json_roundtrip(rng):
     back_terms, back_weights = obs.observable_from_json(doc)
     np.testing.assert_allclose(back_weights, weights)
     np.testing.assert_allclose(
-        obs.dense_from_terms(back_terms, back_weights),
-        obs.dense_from_terms(terms, weights),
+        obs.dense_from_terms(back_terms, back_weights, 2),
+        obs.dense_from_terms(terms, weights, 2),
         atol=1e-12,
     )
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import brute_trace
 from rmoments import symgroup as sg
-from rmoments.linalg import kron_all, nullspace
+from rmoments.linalg import nullspace
 from rmoments.paulis import PAULIS
 
 
@@ -66,13 +67,32 @@ def test_cycle_roundtrip():
             assert from_cycles(p.cycle_string(), t) == p
 
 
+#: the 14 permutations whose coefficients the t=4 reduced gauge leaves free
+REDUCED_SUPPORT_T4 = (
+    "()", "(12)", "(13)", "(14)", "(23)", "(24)", "(34)",
+    "(123)", "(1234)", "(1243)", "(1324)", "(1342)", "(1423)", "(1432)",
+)
+
+
 def test_reduced_support_is_canonical_filter():
-    # the 14 permutations surviving the t=4 gauge appear in canonical order
-    from rmoments.twirl import REDUCED_SUPPORT_T4
+    # the 14 permutations surviving the t=4 gauge appear in canonical order,
+    # and they are exactly those that the gauge does not zero
+    from rmoments.twirl import GAUGE_ZEROS
 
     names = [p.cycle_string() for p in sg.enumerate_group(4)]
     filtered = [n for n in names if n in REDUCED_SUPPORT_T4]
     assert filtered == list(REDUCED_SUPPORT_T4)
+    assert sorted(REDUCED_SUPPORT_T4 + GAUGE_ZEROS[4]) == sorted(names)
+
+
+def test_cycle_index_follows_group_order():
+    for t in range(1, sg.MAX_MOMENT + 1):
+        index = sg.cycle_index(t)
+        assert list(index) == [p.cycle_string() for p in sg.enumerate_group(t)]
+        assert list(index.values()) == list(range(len(sg.enumerate_group(t))))
+        assert sg.cycle_index(t) is index
+        with pytest.raises(TypeError):
+            index["()"] = 1
 
 
 def test_v_matrix_identity_and_swap():
@@ -105,31 +125,30 @@ def test_v_product_matches_composition():
                 assert np.array_equal(lhs, rhs)
 
 
-def test_trace_with_v_examples(rng):
+def test_v_matrix_trace_examples():
+    # tr(A x B x C V_(12)) = tr(AB) tr(C)
     ident3 = [np.eye(2)] * 3
-    assert sg.trace_with_v(ident3, from_cycles("(12)", 3)) == pytest.approx(4.0)
+    assert brute_trace(ident3, from_cycles("(12)", 3)) == pytest.approx(4.0)
     mats = [PAULIS[1], PAULIS[1], PAULIS[3]]
-    val = sg.trace_with_v(mats, from_cycles("(12)", 3))
-    assert val == pytest.approx(0.0)
-    brute = np.trace(kron_all(mats) @ sg.v_matrix(from_cycles("(12)", 3), 2))
-    assert val == pytest.approx(brute)
+    assert brute_trace(mats, from_cycles("(12)", 3)) == pytest.approx(0.0)
 
 
-def test_trace_with_v_brute_force(rng):
+def test_v_matrix_trace_is_cycle_product(rng):
+    # the dense trace factorizes over the cycles of p, each cycle's factors
+    # multiplied in cycle order from its smallest point
     for t in (2, 3, 4):
         mats = [
             rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             for _ in range(t)
         ]
-        big = kron_all(mats)
         for p in sg.enumerate_group(t):
-            brute = np.trace(big @ sg.v_matrix(p, 2))
-            assert sg.trace_with_v(mats, p) == pytest.approx(brute, abs=1e-12)
-
-
-def test_trace_with_v_dimension_mismatch():
-    with pytest.raises(ValueError):
-        sg.trace_with_v([np.eye(2), np.eye(3)], from_cycles("(12)", 2))
+            want = 1.0 + 0.0j
+            for cyc in p.cycles():
+                prod = np.eye(2)
+                for i in cyc:
+                    prod = prod @ mats[i]
+                want *= np.trace(prod)
+            assert brute_trace(mats, p) == pytest.approx(want, abs=1e-12)
 
 
 EXPECTED_GRAM_T3_D2 = np.array([

@@ -5,11 +5,12 @@ from math import comb, factorial, prod
 import numpy as np
 import pytest
 
+from conftest import brute_trace
 from rmoments import symgroup as sg
 from rmoments import twirl
 from rmoments.haar_mc import haar_su2, mc_moment
 from rmoments.invariants import makhlin
-from rmoments.linalg import kron
+from rmoments.linalg import kron, nullspace
 from rmoments.observables import (
     TripartiteObservable,
     hodge_observable,
@@ -23,6 +24,7 @@ from rmoments.observables import (
 from rmoments.paulis import PAULIS
 from rmoments.states import (
     ThreeQubitState,
+    TwoQubitState,
     bell_state,
     bloch_from_density,
     density_from_bloch,
@@ -118,8 +120,49 @@ def test_solve_resubstitution_property(rng):
     factors = [random_hermitian(rng) for _ in range(3)]
     x = twirl.solve_factor_coefficients(factors)
     g = sg.gram_matrix(3, 2)
-    rhs = np.array([sg.trace_with_v(factors, p) for p in sg.enumerate_group(3)])
+    rhs = np.array([brute_trace(factors, p) for p in sg.enumerate_group(3)])
     assert np.max(np.abs(g @ x - rhs)) <= 1e-10
+
+
+def test_single_product_is_a_table_row(rng):
+    # a single product's coefficients are the row that the table kernel
+    # gives its index tuple, bit for bit; the kernel's traces and the
+    # solution agree with the dense traces at every order
+    for t in range(1, 7):
+        factors = np.array([random_hermitian(rng) + 1j * random_hermitian(rng)
+                            for _ in range(t)])
+        x = twirl.solve_factor_coefficients(factors)
+        rows, _ = twirl._factor_rows((factors,), np.ones(t), 2, np.arange(t)[None], 1)
+        assert np.array_equal(_bits(x), _bits(twirl._embedding(t, False) @ rows[0][0]))
+        rhs = twirl._rhs_for_tuples(factors, np.arange(t)[None])[0]
+        want = [brute_trace(factors, b) for b in sg.commutant_basis(t)]
+        np.testing.assert_allclose(rhs, want, rtol=0, atol=1e-12)
+        brute = np.array([brute_trace(factors, p) for p in sg.enumerate_group(t)])
+        residual = np.max(np.abs(sg.gram_matrix(t, 2) @ x - brute))
+        assert residual <= 1e-12 * np.max(np.abs(brute)), t
+
+
+def test_solve_rejects_non_qubit_factors():
+    with pytest.raises(ValueError):
+        twirl.solve_factor_coefficients([np.eye(2), np.eye(3)])
+
+
+def test_reduced_embedding_is_the_gauge_fixed_minimum_norm_map():
+    # the embedding's reduced gauge comes from gauge_fix; it equals the
+    # direct shift of the minimum-norm map, bit for bit, and stays real
+    for t in (3, 4):
+        emb = np.zeros((factorial(t), len(sg.commutant_basis(t))))
+        index = {p: i for i, p in enumerate(sg.enumerate_group(t))}
+        emb[[index[b] for b in sg.commutant_basis(t)], np.arange(emb.shape[1])] = 1.0
+        kernel = nullspace(sg.gram_matrix(t, 2))
+        emb -= kernel @ (kernel.T @ emb)
+        names = [p.cycle_string() for p in sg.enumerate_group(t)]
+        rows = np.array([names.index(name) for name in twirl.GAUGE_ZEROS[t]])
+        shift = -kernel @ np.linalg.inv(kernel[rows, :])
+        emb += shift @ emb[rows]
+        got = twirl._embedding(t, True)
+        assert got.dtype == float and not got.flags.writeable
+        assert np.array_equal(_bits(got), _bits(emb)), t
 
 
 def test_gauge_fix_zeroes_designated_entries(rng):
@@ -1096,4 +1139,9 @@ def test_overflowing_table_is_an_error():
             twirl.twirl_coefficients(weight * zz, t)
     with pytest.raises(OverflowError):
         twirl.twirl_coefficients(TripartiteObservable([(Z, Z, Z)], [1e200]), 2)
-    assert np.isfinite(twirl.twirl_coefficients(1e50 * zz, 6).moment(bell_state()))
+    co = twirl.twirl_coefficients(1e50 * zz, 6)
+    assert np.isfinite(co.moment(bell_state()))
+    # that finite table's contraction with a non-physical record of
+    # T_zz = 1e3 is not finite: an error, not Infinity
+    with pytest.raises(OverflowError):
+        co.moment(TwoQubitState(np.zeros(3), np.zeros(3), np.diag([0.0, 0.0, 1e3])))
