@@ -149,12 +149,13 @@ def _cmd_state_gen(args) -> int:
 
 def _cmd_invariants(args) -> int:
     state = _load_state(args.state)
+    # a non-finite invariant fails _emit and a NaN sign determinant raises,
+    # so numpy's overflow warnings on the way say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = makhlin(state) if state.parties == 2 else kempe(state)
+    doc = {"qubits": state.parties, "invariants": rec.as_dict()}
     if state.parties == 2:
-        rec = makhlin(state)
-        doc = {"qubits": 2, "invariants": rec.as_dict()}
         doc["negativity"] = negativity(density_from_bloch(state))
-    else:
-        doc = {"qubits": 3, "invariants": kempe(state).as_dict()}
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -235,15 +236,22 @@ def _cmd_simulate(args) -> int:
                              "kempe recovery has none")
         if state.parties != 3:
             raise DimensionError("kempe recovery needs a three-qubit state")
-        rep = protocol_sim.recover_kempe(state, None if args.exact else cfg)
-    else:
-        if state.parties != 2:
-            raise DimensionError("two-qubit invariant recovery needs a two-qubit state")
-        cache = {}
-        rep = protocol_sim.recover_invariant(args.invariant, state,
-                                             None if args.exact else cfg, _cache=cache)
-        if args.csv:
-            _write_trace_csv(args.csv, cache.get(("trace", args.invariant, None)))
+    elif state.parties != 2:
+        raise DimensionError("two-qubit invariant recovery needs a two-qubit state")
+    cfg = None if args.exact else cfg
+    cache = {}
+    # an overflowing moment or sign determinant raises, a non-finite estimate
+    # fails _emit and the shot samplers reject a record that is not a state
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.invariant == "kempe":
+                rep = protocol_sim.recover_kempe(state, cfg)
+            else:
+                rep = protocol_sim.recover_invariant(args.invariant, state, cfg, _cache=cache)
+    except ValueError as exc:
+        raise InputError(f"cannot recover from {args.state}: {exc}") from exc
+    if args.csv:
+        _write_trace_csv(args.csv, cache.get(("trace", args.invariant, None)))
     _emit(rep.as_dict(), args.out)
     return EXIT_OK
 

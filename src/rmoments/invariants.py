@@ -27,6 +27,8 @@ def cofactor3(m: np.ndarray) -> np.ndarray:
 
 
 def _sign(x: float) -> int:
+    if np.isnan(x):
+        raise OverflowError("a sign invariant's determinant overflows a float")
     if abs(x) < SIGN_TOL:
         return 0
     return 1 if x > 0 else -1

@@ -44,6 +44,7 @@ from .states import (BlochRecord, ThreeQubitState, TwoQubitState, pauli_transfer
 
 _I, _X, _Y, _Z = PAULIS
 RECOVERY_TOL = 1e-8
+BORN_TOL = 1e-9   # rounding allowance below 0 for a Born-rule probability
 
 
 @dataclass
@@ -159,7 +160,7 @@ def simulate_moment(terms, rho, cfg: ProtocolConfig, label: str = "moment",
         table = joint @ ops.reshape(len(ops), -1).T / 2**n_parties
 
         if cfg.drift_rate == 0.0:
-            probs = np.clip(table[:, :, 0], 0.0, None)
+            probs = _born(table[:, :, 0])
             probs /= probs.sum(axis=1, keepdims=True)
             counts = rng.multinomial(m_shots, probs)
             estimates[:, j] = counts @ lam_prod / m_shots
@@ -200,11 +201,20 @@ def _drifted_setting(rng, table, lam_prod, cfg, setting, n_set):
         for e in range(2, columns):
             np.multiply(powers[e - 1], powers[1], out=powers[e])
         weights = (powers[::-1, 0] * powers[:, 1]).reshape(columns, len(ks), m)
-        probs = np.clip(table[ks] @ weights.transpose(1, 0, 2), 0.0, None)
+        probs = _born(table[ks] @ weights.transpose(1, 0, 2))
         draws = rng.uniform(size=(len(ks), m))
         picked = _sample_outcomes(_normalised(probs.transpose(1, 0, 2)), draws)
         out[ks] = lam_prod[picked].mean(axis=1)
     return out
+
+
+def _born(probs: np.ndarray) -> np.ndarray:
+    """Outcome probabilities with rounding below 0 clipped away; one below
+    -BORN_TOL means the record is not a state and cannot be sampled."""
+    if (low := probs.min()) < -BORN_TOL:
+        raise ValueError(f"Born-rule probability {low:.3g} < 0: "
+                         "the state record is not a density matrix")
+    return np.clip(probs, 0.0, None)
 
 
 def _normalised(planes: np.ndarray) -> np.ndarray:

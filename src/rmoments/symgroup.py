@@ -16,6 +16,7 @@ Conventions pinned here and relied on everywhere else:
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations as _iter_combinations
 from itertools import permutations as _iter_permutations
 from types import MappingProxyType
 
@@ -104,13 +105,6 @@ def cycle_index(t: int) -> MappingProxyType:
     return MappingProxyType({p.cycle_string(): i for i, p in enumerate(enumerate_group(t))})
 
 
-def _longest_decreasing(images) -> int:
-    best = []
-    for i, v in enumerate(images):
-        best.append(1 + max((best[j] for j in range(i) if images[j] > v), default=0))
-    return max(best, default=0)
-
-
 @lru_cache(maxsize=None)
 def commutant_basis(t: int, d: int = 2) -> tuple:
     """Permutations with no decreasing subsequence longer than d, in the
@@ -122,7 +116,13 @@ def commutant_basis(t: int, d: int = 2) -> tuple:
     321-avoiding permutations, C_t (Catalan) of them: 1, 2, 5, 14, 42, 132
     for t = 1..6.  The set is closed under inversion.
     """
-    return tuple(p for p in enumerate_group(t) if _longest_decreasing(p.images) <= d)
+    group = enumerate_group(t)
+    # images on every (d + 1)-subset of positions, in increasing position order
+    subsets = np.array(list(_iter_combinations(range(t), d + 1)),
+                       dtype=np.intp).reshape(-1, d + 1)
+    images = np.array([p.images for p in group])[:, subsets]
+    decreasing = np.all(np.diff(images, axis=-1) < 0, axis=-1).any(axis=-1)
+    return tuple(p for p, drop in zip(group, decreasing) if not drop)
 
 
 def v_matrix(p: Permutation, d: int) -> np.ndarray:
@@ -152,28 +152,64 @@ def v_matrix(p: Permutation, d: int) -> np.ndarray:
 _GRAM_ROW_BLOCK = 64
 
 
+def _codes(images: np.ndarray, t: int) -> np.ndarray:
+    """Base-t code sum_i images[..., i] t^(k-1-i) of the last axis (length k)."""
+    return images @ t ** np.arange(images.shape[-1] - 1, -1, -1)
+
+
+@lru_cache(maxsize=None)
+def _cycle_counts(t: int) -> np.ndarray:
+    """Read-only int8 table of #cycles(pi), indexed by the base-t code of
+    pi's one-line images; codes of non-permutations hold 0.
+
+    Each point is labelled with the smallest point of its cycle by
+    pointer-chasing over all t! permutations at once, and the cycles are
+    counted as the points that are their own label.
+    """
+    perms = np.array(list(_iter_permutations(range(t))), dtype=np.intp)
+    points = np.arange(t)
+    label = np.broadcast_to(points, perms.shape)
+    for _ in range(t - 1):
+        label = np.minimum(label, np.take_along_axis(label, perms, axis=-1))
+    counts = np.zeros(t ** t, dtype=np.int8)
+    counts[_codes(perms, t)] = np.sum(label == points, axis=-1)
+    counts.setflags(write=False)
+    return counts
+
+
 def gram_block(rows, cols, d: int) -> np.ndarray:
     """Integer block (d^{#cycles(a o b)})_{a in rows, b in cols}, in the
     smallest signed integer type that holds d^t: convert it before any
     arithmetic that could leave that range.
 
-    The compositions are built by array indexing; each point of a
-    composition is labelled with the smallest point of its cycle by
-    pointer-chasing, and the cycles are counted as the points that are
-    their own label.  Rows are processed in blocks to bound the memory of
-    the (rows, cols, t) intermediates.
+    The cycle count of a composition is looked up by its base-t code
+    sum_i a(b(i)) t^(t-1-i) in ``_cycle_counts(t)``.  The code splits into
+    a part over the first floor(t/2) positions i and one over the rest.  For
+    a block of rows, each part is tabulated at every tuple of positions
+    (b(i))_i of its length, and each column b picks its entry by the code of
+    its own tuple.  A row block then costs two gathers, one add and two
+    lookups (the cycle count, then d to that power), and no (rows, cols, t)
+    composition array is built.
     """
     left = np.array([p.images for p in rows], dtype=np.intp)
     right = np.array([p.images for p in cols], dtype=np.intp)
     t = left.shape[1]
-    points = np.arange(t)
-    out = np.empty((len(left), len(right)), dtype=np.min_scalar_type(-d ** t))
+    place = t ** np.arange(t - 1, -1, -1)
+    halves = []
+    for h in (slice(0, t // 2), slice(t // 2, t)):
+        k = h.stop - h.start
+        # every k-tuple of positions in code order, and each column's k-tuple
+        halves.append((np.indices((t,) * k).reshape(k, t ** k).T, place[h],
+                       _codes(right[:, h], t)))
+    counts = _cycle_counts(t)
+    dtype = np.min_scalar_type(-d ** t)
+    powers = (d ** np.arange(t + 1)).astype(dtype)
+    out = np.empty((len(left), len(right)), dtype=dtype)
     for start in range(0, len(left), _GRAM_ROW_BLOCK):
-        comp = np.take(left[start:start + _GRAM_ROW_BLOCK], right, axis=1)
-        label = np.broadcast_to(points, comp.shape)
-        for _ in range(t - 1):
-            label = np.minimum(label, np.take_along_axis(label, comp, axis=-1))
-        out[start:start + len(comp)] = d ** np.sum(label == points, axis=-1)
+        block = left[start:start + _GRAM_ROW_BLOCK]
+        code0, code1 = (np.take(block[:, tuples] @ weights, key, axis=1)
+                        for tuples, weights, key in halves)
+        out[start:start + len(block)] = powers[counts[code0 + code1]]
     return out
 
 

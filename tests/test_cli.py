@@ -194,7 +194,7 @@ def test_overflowing_results_are_errors(tmp_path, capsys):
     # non-physical record, invariants of huge correlations, and recoveries
     # and Monte Carlo on them; every command exits 2 with an error line and
     # prints nothing, no Infinity or NaN.  numpy's overflow RuntimeWarnings
-    # on the way are recorded here, not raised
+    # on the way are silenced: the error line is all that stderr holds
     zero, zero3 = [0.0] * 3, [[0.0] * 3] * 3
     huge = np.diag([1e110] * 3).tolist()
     huge3 = np.diag([1e200] * 3).tolist()
@@ -223,8 +223,29 @@ def test_overflowing_results_are_errors(tmp_path, capsys):
             assert run(argv + ["--out", str(tmp_path / "out.json")]) == cli.EXIT_BAD_INPUT, argv
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == "", argv
+        assert captured.err.count("\n") == 1, argv
         assert not (tmp_path / "out.json").exists(), argv
-        assert all(w.category is RuntimeWarning for w in caught), argv
+        assert not caught, argv
+
+
+@pytest.mark.parametrize("drift", ([], ["--drift", "1e-3"]))
+def test_simulate_rejects_a_record_that_is_not_a_state(tmp_path, capsys, drift):
+    # T = 3 I has negative Born-rule probabilities, which the shot samplers
+    # would otherwise clip into a biased estimate; the exact engine takes it
+    zero = [0.0] * 3
+    doc = tmp_path / "t3.json"
+    doc.write_text(json.dumps({"qubits": 2, "alpha": zero, "beta": zero,
+                               "T": np.diag([3.0] * 3).tolist()}))
+    out = tmp_path / "out.json"
+    argv = ["simulate", "--invariant", "I2", "--unitaries", "400", "--shots", "50",
+            "--state", str(doc), "--out", str(out)] + drift
+    assert run(argv) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "not a density matrix" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+    assert run(argv + ["--exact"]) == cli.EXIT_OK
+    assert json.loads(out.read_text())["estimate"] == pytest.approx(27.0)
 
 
 def test_verify_single_claim(tmp_path, capsys):

@@ -196,3 +196,11 @@ def test_kempe_pt_invariance(rng):
             other = invariants.kempe(partial_transpose_bloch3(rec, party))
             for key, val in base.as_dict().items():
                 assert other.as_dict()[key] == pytest.approx(val, abs=1e-12)
+
+
+def test_sign_of_an_undefined_determinant_raises():
+    # a NaN determinant (inf - inf on the way) has no sign; -1 would be a
+    # silently wrong discrete invariant
+    with pytest.raises(OverflowError):
+        invariants._sign(float("nan"))
+    assert invariants._sign(float("inf")) == 1 and invariants._sign(-float("inf")) == -1

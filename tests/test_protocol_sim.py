@@ -18,6 +18,7 @@ from rmoments.states import (
     ghz_state,
     maximally_mixed,
     random_state,
+    TwoQubitState,
 )
 
 I, X, Y, Z = PAULIS
@@ -66,6 +67,27 @@ def test_protocol_config_rejects_silent_garbage_drift(drift_rate, cost):
         ps.ProtocolConfig(10, 10, 3, drift_rate=drift_rate, setting_change_cost=cost)
     # a finite rate of either sign drifts; no cost is a valid plan
     ps.ProtocolConfig(10, 10, 3, drift_rate=-1e-3, setting_change_cost=0)
+
+
+@pytest.mark.parametrize("drift_rate", (0.0, 1e-3))
+def test_shot_samplers_reject_a_record_that_is_not_a_state(drift_rate):
+    # T = 3 I is no density matrix: in most frames a Born-rule probability
+    # is negative, and clipping it to 0 would bias the estimate silently
+    record = TwoQubitState(np.zeros(3), np.zeros(3), 3 * np.eye(3))
+    cfg = ps.ProtocolConfig(40, 20, 2, drift_rate=drift_rate, seed=1)
+    with pytest.raises(ValueError, match="not a density matrix"):
+        ps.simulate_moment([[Z, Z]], record, cfg)
+    with pytest.raises(ValueError, match="not a density matrix"):
+        ps.recover_invariant("I2", record, cfg)
+    # the exact engine evaluates the moment polynomial on any record
+    assert ps.recover_invariant("I2", record).estimate == pytest.approx(27.0)
+
+
+def test_born_tolerance_only_forgives_rounding():
+    probs = np.array([[0.5, 0.5 + ps.BORN_TOL / 2, -ps.BORN_TOL / 2]])
+    np.testing.assert_array_equal(ps._born(probs), np.clip(probs, 0.0, None))
+    with pytest.raises(ValueError):
+        ps._born(np.array([[0.5, 0.5 + 2 * ps.BORN_TOL, -2 * ps.BORN_TOL]]))
 
 
 def test_calibrations_are_exact():

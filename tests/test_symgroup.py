@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,73 @@ def test_gram_matches_cycle_count_loop():
     rows = [perms[i] for i in rng.integers(0, len(perms), 70)]
     assert np.array_equal(sg.gram_block(rows, perms[:5], 2),
                           [[2 ** compose(p, q).num_cycles() for q in perms[:5]] for p in rows])
+
+
+def pointer_chasing_gram_block(rows, cols, d):
+    """Reference kernel: each composition's points labelled with the
+    smallest point of their cycle by pointer-chasing, cycles counted as the
+    points that are their own label."""
+    left = np.array([p.images for p in rows], dtype=np.intp)
+    right = np.array([p.images for p in cols], dtype=np.intp)
+    t = left.shape[1]
+    points = np.arange(t)
+    out = np.empty((len(left), len(right)), dtype=np.min_scalar_type(-d ** t))
+    for start in range(0, len(left), 64):
+        comp = np.take(left[start:start + 64], right, axis=1)
+        label = np.broadcast_to(points, comp.shape)
+        for _ in range(t - 1):
+            label = np.minimum(label, np.take_along_axis(label, comp, axis=-1))
+        out[start:start + len(comp)] = d ** np.sum(label == points, axis=-1)
+    return out
+
+
+def assert_same_block(rows, cols, d):
+    got, want = sg.gram_block(rows, cols, d), pointer_chasing_gram_block(rows, cols, d)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_gram_block_matches_pointer_chasing():
+    for t in range(1, 7):
+        perms = sg.enumerate_group(t)
+        for d in (2, 3):
+            assert_same_block(perms, perms, d)
+        assert_same_block(sg.commutant_basis(t), perms, 2)
+    perms = sg.enumerate_group(6)
+    rng = np.random.default_rng(18)
+    cols = [perms[i] for i in rng.choice(len(perms), 40, replace=False)]
+    for size in (1, 63, 65, 200):
+        rows = [perms[i] for i in rng.integers(0, len(perms), size)]
+        assert_same_block(rows, cols, 2)
+    assert_same_block(sg.enumerate_group(2), sg.enumerate_group(2), 200)
+
+
+def test_cold_gram_block_memory():
+    # the lookup kernel never holds a (rows, cols, t) composition array: it
+    # peaks near 2 MB, the pointer-chasing kernel at 9.0 MB in row blocks and
+    # the whole S_6 x S_6 x 6 composition array is 25 MB
+    perms = sg.enumerate_group(6)
+    sg._cycle_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        sg.gram_block(perms, perms, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
+
+
+def longest_decreasing(images):
+    best = []
+    for i, v in enumerate(images):
+        best.append(1 + max((best[j] for j in range(i) if images[j] > v), default=0))
+    return max(best, default=0)
+
+
+def test_commutant_basis_bounds_decreasing_subsequences():
+    for t in range(1, 7):
+        for d in (1, 2, 3, 7):
+            want = [p for p in sg.enumerate_group(t) if longest_decreasing(p.images) <= d]
+            assert list(sg.commutant_basis(t, d)) == want
 
 
 def test_kernel_dimensions_and_vectors():
