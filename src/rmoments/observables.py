@@ -65,11 +65,7 @@ _PAULI_PAIRS = np.array([[kron(a, b) for b in PAULIS_NORMALIZED] for a in PAULIS
 def realign(o: np.ndarray) -> np.ndarray:
     """4x4 real coefficient matrix of O over the normalized Pauli basis."""
     o = np.asarray(o, dtype=complex)
-    c = np.empty((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            c[mu, nu] = np.real(np.trace(o @ _PAULI_PAIRS[mu, nu]))
-    return c
+    return np.real(np.trace(o @ _PAULI_PAIRS, axis1=-2, axis2=-1))
 
 
 def schmidt_decompose(o: np.ndarray, rank_tolerance: float = RANK_TOL) -> SchmidtObservable:

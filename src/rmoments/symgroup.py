@@ -202,7 +202,8 @@ def gram_block(rows, cols, d: int) -> np.ndarray:
         halves.append((np.indices((t,) * k).reshape(k, t ** k).T, place[h],
                        _codes(right[:, h], t)))
     counts = _cycle_counts(t)
-    dtype = np.min_scalar_type(-d ** t)
+    # -d^t - 1 forces a signed type wide enough for +d^t as well
+    dtype = np.min_scalar_type(-(d ** t) - 1)
     powers = (d ** np.arange(t + 1)).astype(dtype)
     out = np.empty((len(left), len(right)), dtype=dtype)
     for start in range(0, len(left), _GRAM_ROW_BLOCK):

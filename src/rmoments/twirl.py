@@ -10,7 +10,9 @@ nonsingular Gram system on B,
 
     G_BB x = (tr(A_{j1} x ... x A_{jt} V_b))_{b in B},   G[b, b'] = tr V_{b o b'},
 
-exactly (LU, no pseudo-inverse).  The moment of a state follows from the
+with the inverse of G_BB, cached once per t, and one step of iterative
+refinement per solution, which brings the residual to an LU solve's level;
+every residual is checked.  The moment of a state follows from the
 contractions tr(rho^xt V_{bA} x V_{bB}), which this module evaluates in the
 Pauli basis through the cycle-product trace formula with the Pauli-trace
 rows W_B of the basis -- rho^xt is never formed.
@@ -85,26 +87,33 @@ class EngineError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _basis_gram(t: int):
-    """(G[B, B], cond G[B, B]) for the qubit commutant basis B of S_t."""
+    """(G[B, B], G[B, B]^-1, cond G[B, B]) for the qubit commutant basis B
+    of S_t, read-only."""
     basis = sg.commutant_basis(t)
     gram = sg.gram_block(basis, basis, 2).astype(float)
+    inverse = np.linalg.inv(gram)
     gram.setflags(write=False)
-    return gram, float(np.linalg.cond(gram))
+    inverse.setflags(write=False)
+    return gram, inverse, float(np.linalg.cond(gram))
 
 
 def _solve_basis(rhs: np.ndarray, t: int):
     """Coefficients x[n] over B with G[B, B] x[n] = rhs[n]; returns the
-    solutions and the largest absolute residual."""
-    gram, _ = _basis_gram(t)
-    b = np.ascontiguousarray(rhs.T, dtype=complex)
-    x = np.ascontiguousarray(np.linalg.solve(gram, b))
-    # G[B, B] is real: one real product over the interleaved real and
-    # imaginary parts of x
-    back = (gram @ x.view(float)).view(complex)
-    residual = float(np.max(np.abs(back - b))) if rhs.size else 0.0
+    solutions and the largest absolute residual.
+
+    x = G^-1 rhs, refined once by x += G^-1 (rhs - G x) (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 12): the residual falls to an
+    LU solve's level, without factoring G on every call."""
+    gram, inverse, _ = _basis_gram(t)
+    # G[B, B] is real: every product runs over the interleaved real and
+    # imaginary parts of the right-hand sides
+    b = np.ascontiguousarray(rhs.T, dtype=complex).view(float)
+    x = inverse @ b
+    x += inverse @ (b - gram @ x)
+    residual = float(np.max(np.abs((gram @ x - b).view(complex)))) if rhs.size else 0.0
     if residual > SOLVE_RESIDUAL_TOL:
         raise EngineError(f"Gram solve residual {residual:.2e} above tolerance")
-    return x.T, residual
+    return x.view(complex).T, residual
 
 
 def _trace_tensors(factors: np.ndarray, t: int) -> list:
@@ -427,7 +436,7 @@ def twirl_coefficients(obs, t: int) -> TwirlCoefficients:
         raise TypeError(f"unsupported observable type {type(obs)!r}")
     # reshape, not stack: a rank-0 observable has no factors, and its table no rows
     stacks = tuple(np.reshape(f, (-1, 2, 2)) for f in per_party)
-    gram, cond = _basis_gram(t)
+    gram, _, cond = _basis_gram(t)
     # a table scales as the t-th power of the weights: an overflow in its
     # factor rows or their Pauli factors is an error, with no RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):

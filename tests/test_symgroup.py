@@ -185,6 +185,15 @@ def test_gram_entries_use_the_smallest_signed_type():
     assert sg.gram_block(sg.enumerate_group(2), sg.enumerate_group(2), 200).dtype == np.int32
 
 
+def test_gram_entries_hold_powers_of_two_at_the_type_boundary():
+    # d^t = 2^7, 2^15, 2^31 fit -d^t but not +d^t in the type of -d^t
+    assert np.array_equal(sg.gram_matrix(1, 128), [[128]])
+    assert sg.gram_matrix(1, 128).dtype == np.int16
+    assert sg.gram_matrix(3, 32)[0, 0] == 32768
+    assert sg.gram_matrix(3, 32).dtype == np.int32
+    assert sg.gram_matrix(1, 2**31)[0, 0] == 2**31
+
+
 def test_gram_matches_brute_force():
     for t in (2, 3, 4):
         perms = sg.enumerate_group(t)

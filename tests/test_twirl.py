@@ -147,6 +147,33 @@ def test_solve_rejects_non_qubit_factors():
         twirl.solve_factor_coefficients([np.eye(2), np.eye(3)])
 
 
+def test_basis_solve_matches_lu(rng):
+    # the cached inverse with one refinement step gives the LU solution of
+    # G[B, B] x = rhs, with a residual at the LU solve's level, for the
+    # multiset rows of orthonormal Hermitian factors (as a Schmidt
+    # decomposition gives them) at unit scale and scaled by 3
+    for t in range(1, 7):
+        gram, inverse, _ = twirl._basis_gram(t)
+        assert not inverse.flags.writeable and not gram.flags.writeable
+        for rank in (1, 2, 3, 4):
+            for scale in (1.0, 3.0):
+                factors = scale * np.array(random_orthonormal_hermitian(rng, rank))
+                rhs = twirl._rhs_for_tuples(factors, twirl._multisets(rank, t)[0])
+                x, residual = twirl._solve_basis(rhs, t)
+                want = np.linalg.solve(gram, rhs.T).T
+                assert x.shape == rhs.shape
+                assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want)), (t, rank)
+                assert residual <= 1e-13 * np.max(np.abs(rhs)), (t, rank)
+
+
+def test_basis_solve_of_no_right_hand_sides():
+    # a rank-0 table has no rows to solve
+    for t in range(1, 7):
+        size = len(sg.commutant_basis(t))
+        x, residual = twirl._solve_basis(np.zeros((0, size), dtype=complex), t)
+        assert x.shape == (0, size) and residual == 0.0
+
+
 def test_reduced_embedding_is_the_gauge_fixed_minimum_norm_map():
     # the embedding's reduced gauge comes from gauge_fix; it equals the
     # direct shift of the minimum-norm map, bit for bit, and stays real
