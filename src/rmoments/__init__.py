@@ -6,7 +6,14 @@ classification by tensor rank, and a numerical verification suite.
 """
 
 from .haar_mc import MCEstimate, haar_su2, mc_moment
-from .invariants import KempeRecord, MakhlinRecord, hodge_via_star, kempe, makhlin
+from .invariants import (
+    KempeRecord,
+    MakhlinRecord,
+    hodge_via_star,
+    kempe,
+    makhlin,
+    makhlin_continuous,
+)
 from .observables import (
     SchmidtObservable,
     TripartiteObservable,
@@ -54,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MCEstimate", "haar_su2", "mc_moment",
     "KempeRecord", "MakhlinRecord", "hodge_via_star", "kempe", "makhlin",
+    "makhlin_continuous",
     "SchmidtObservable", "TripartiteObservable", "det_prefactor",
     "hodge_observable", "pauli_sum_observable", "schmidt_decompose",
     "traceless_projection",

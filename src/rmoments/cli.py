@@ -2,7 +2,8 @@
 reproducible seeds and JSON/CSV output.
 
 Exit codes: 0 success, 1 failed verification check, 2 malformed input
-document or a result that overflows a float, 3 dimension mismatch.
+document, a result that overflows a float or an input the exact engine
+cannot solve within its tolerance, 3 dimension mismatch.
 """
 
 import argparse
@@ -359,7 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_numbers(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (InputError, OverflowError) as exc:
+    except (InputError, OverflowError, twirl.EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except DimensionError as exc:

@@ -20,10 +20,16 @@ def cofactor3(m: np.ndarray) -> np.ndarray:
     Row i is the cross product of rows i+1 and i+2 (cyclically), so singular
     m is fine.  This is the convention that makes 2 <alpha, cof(T) beta> a
     local-unitary invariant: under T -> Ra T Rb^T the cofactor matrix
-    transforms the same way as T.
+    transforms the same way as T.  Each entry is np.cross's component
+    formula on scalars, so the bits match it; the result is C-ordered,
+    which the matrix products of I14 need to keep their summation order.
     """
-    m = np.asarray(m, dtype=float)
-    return np.cross(m[[1, 2, 0]], m[[2, 0, 1]])
+    (a, b, c), (d, e, f), (g, h, i) = np.asarray(m, dtype=float).tolist()
+    return np.array([
+        [e * i - f * h, f * g - d * i, d * h - e * g],
+        [h * c - i * b, i * a - g * c, g * b - h * a],
+        [b * f - c * e, c * d - a * f, a * e - b * d],
+    ])
 
 
 def _sign(x: float) -> int:
@@ -68,33 +74,43 @@ class MakhlinRecord:
     CONTINUOUS = tuple(DEGREES)
     DISCRETE = ("I10", "I11", "I15", "I16", "I17", "I18")
 
-    def continuous(self) -> dict:
-        return {name: getattr(self, name) for name in self.CONTINUOUS}
-
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def makhlin_continuous(state: TwoQubitState) -> dict:
+    """The 12 continuous Makhlin invariants keyed by
+    ``MakhlinRecord.CONTINUOUS``, without the sign determinants: the
+    invariant dictionaries and the fits read only these."""
+    a, b, T = state.alpha, state.beta, state.T
+    Tt = T.T
+    TTt, TtT = T @ Tt, Tt @ T
+    Tta, TTta, Tb, TtTb = Tt @ a, TTt @ a, T @ b, TtT @ b
+    aT = a @ T
+    return {
+        "I1": float(np.linalg.det(T)),
+        "I2": float(TtT.trace()),
+        "I3": float((TtT @ TtT).trace()),
+        "I4": float(a @ a),
+        "I5": float(Tta @ Tta),
+        "I6": float(TTta @ TTta),
+        "I7": float(b @ b),
+        "I8": float(Tb @ Tb),
+        "I9": float(TtTb @ TtTb),
+        "I12": float(aT @ b),
+        "I13": float(aT @ Tt @ T @ b),
+        "I14": 2.0 * float(a @ cofactor3(T) @ b),
+    }
 
 
 def makhlin(state: TwoQubitState) -> MakhlinRecord:
     """Evaluate the full Makhlin record; accepts non-physical Bloch records."""
     a, b, T = state.alpha, state.beta, state.T
     Tt = T.T
-    TTt = T @ Tt
-    TtT = Tt @ T
+    TTt, TtT = T @ Tt, Tt @ T
     det3 = lambda u, v, w: float(np.linalg.det(np.column_stack([u, v, w])))
     return MakhlinRecord(
-        I1=float(np.linalg.det(T)),
-        I2=float(np.trace(TtT)),
-        I3=float(np.trace(TtT @ TtT)),
-        I4=float(a @ a),
-        I5=float((Tt @ a) @ (Tt @ a)),
-        I6=float((TTt @ a) @ (TTt @ a)),
-        I7=float(b @ b),
-        I8=float((T @ b) @ (T @ b)),
-        I9=float((TtT @ b) @ (TtT @ b)),
-        I12=float(a @ T @ b),
-        I13=float(a @ T @ Tt @ T @ b),
-        I14=2.0 * float(a @ cofactor3(T) @ b),
+        **makhlin_continuous(state),
         I10=_sign(det3(a, TTt @ a, TTt @ TTt @ a)),
         I11=_sign(det3(b, TtT @ b, TtT @ TtT @ b)),
         I15=_sign(det3(a, TTt @ a, T @ b)),

@@ -34,7 +34,7 @@ import numpy as np
 from . import twirl
 from .haar_mc import MCEstimate, haar_bloch_blocks
 from .invariants import kempe as kempe_record
-from .invariants import makhlin
+from .invariants import makhlin_continuous
 from .linalg import kron_all
 from .observables import TripartiteObservable, dense_from_terms
 from .paulis import PAULIS, pauli_strings
@@ -410,13 +410,13 @@ def recover_invariant(name: str, state, cfg: ProtocolConfig = None,
     cache = {} if _cache is None else _cache
     estimate, stderr, settings = _evaluate(name, state, cfg, None, cache)
     if "makhlin" not in cache:
-        cache["makhlin"] = makhlin(state)
+        cache["makhlin"] = makhlin_continuous(state)
     rec = cache["makhlin"]
     return RecoveryReport(
         invariant=name,
         estimate=estimate,
         stderr=stderr,
-        reference=float(rec.I1**2 if name == "detsq" else getattr(rec, PIPELINES[name].target)),
+        reference=float(rec["I1"]**2 if name == "detsq" else rec[PIPELINES[name].target]),
         settings_used=settings,
     )
 

@@ -59,7 +59,7 @@ from itertools import groupby
 import numpy as np
 
 from . import symgroup as sg
-from .invariants import MakhlinRecord, makhlin
+from .invariants import MakhlinRecord, makhlin_continuous
 from .linalg import nullspace
 from .observables import SchmidtObservable, TripartiteObservable, schmidt_decompose
 from .paulis import PAULIS
@@ -459,6 +459,7 @@ def exact_moment(obs, state, t: int) -> float:
 # Invariant dictionaries and moment decompositions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def dictionary_for(t: int) -> tuple:
     """All monomials in the continuous Makhlin invariants of total degree
     <= t, plus the constant.  The degree bound is forced: a t-th moment is a
@@ -492,7 +493,7 @@ def eval_monomial(name: str, values: dict) -> float:
 
 def eval_monomials(names, state: TwoQubitState) -> np.ndarray:
     """Evaluate dictionary monomials on one Bloch record."""
-    values = makhlin(state).continuous()
+    values = makhlin_continuous(state)
     return np.array([eval_monomial(name, values) for name in names])
 
 

@@ -17,7 +17,7 @@ from . import protocol_sim as ps
 from . import symgroup as sg
 from . import twirl
 from .haar_mc import mc_moment
-from .invariants import makhlin
+from .invariants import makhlin_continuous
 from .linalg import kron, nullspace
 from .observables import (
     TripartiteObservable,
@@ -251,11 +251,11 @@ def check_pt_invariant_flips(seed: int, count: int = 100):
     even = [n for n in ("I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9", "I12", "I13")]
     for _ in range(count):
         st = random_bloch_record(2, rng)
-        a = makhlin(st)
-        b = makhlin(partial_transpose_bloch(st))
-        dev = max(dev, abs(a.I1 + b.I1), abs(a.I14 + b.I14))
+        a = makhlin_continuous(st)
+        b = makhlin_continuous(partial_transpose_bloch(st))
+        dev = max(dev, abs(a["I1"] + b["I1"]), abs(a["I14"] + b["I14"]))
         for nm in even:
-            dev = max(dev, abs(getattr(a, nm) - getattr(b, nm)))
+            dev = max(dev, abs(a[nm] - b[nm]))
     return count, dev, dev <= 1e-10
 
 
@@ -413,7 +413,7 @@ def check_hodge_rank3_structure(seed: int, count: int = 120):
     -+(6 det T + Hodge)/16 to tr(rho^x4 V_piA x V_piB)."""
     rng = substream(seed, "verify", "hodge_rank3_structure")
     states = [random_bloch_record(2, rng) for _ in range(16)]
-    combo = np.array([6.0 * makhlin(s).I1 + makhlin(s).I14 for s in states])
+    combo = np.array([6.0 * v["I1"] + v["I14"] for v in map(makhlin_continuous, states)])
     design = combo[:, None]
     dev = 0.0
     seen_nonzero = 0.0
@@ -435,13 +435,13 @@ def check_hodge_rank3_structure(seed: int, count: int = 120):
             images[2 * k] = 2 * byname["(1234)"].images[k]
             images[2 * k + 1] = 2 * byname[pb_name].images[k] + 1
         pair_ops[sign] = sg.v_matrix(sg.Permutation(tuple(images)), 2)
-    for s in states[:6]:
+    for s, c in zip(states[:6], combo):
         stp = partial_transpose_bloch(s)
         rho = density_from_bloch(s)
         rho_pt = density_from_bloch(stp)
         rho4 = np.kron(np.kron(rho, rho), np.kron(rho, rho))
         rho4_pt = np.kron(np.kron(rho_pt, rho_pt), np.kron(rho_pt, rho_pt))
-        expect = (6.0 * makhlin(s).I1 + makhlin(s).I14) / 16.0
+        expect = c / 16.0
         for sign, op in pair_ops.items():
             odd = (np.trace(rho4 @ op) - np.trace(rho4_pt @ op)).real / 2.0
             dev = max(dev, abs(odd - sign * expect))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import observable_to_json
-from rmoments import cli
+from rmoments import cli, twirl
 from rmoments.paulis import PAULIS
 
 I, X, Y, Z = PAULIS
@@ -187,6 +187,21 @@ def test_twirl_overflow_is_an_error(tmp_path, capsys):
                     "--t", str(t)]) == cli.EXIT_BAD_INPUT
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_engine_error_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a Gram solve above the engine's residual tolerance ends in one error
+    # line and exit 2, not a traceback; a three-party t=3 table of random
+    # Hermitian factors scaled by 100 reaches it, and a negative tolerance
+    # makes every solve do so
+    monkeypatch.setattr(twirl, "SOLVE_RESIDUAL_TOL", -1.0)
+    obs = tmp_path / "odet.json"
+    obs.write_text(json.dumps(odet_doc()))
+    capsys.readouterr()
+    assert run(["twirl", "--observable", str(obs), "--t", "3"]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Gram solve residual") and captured.out == ""
+    assert captured.err.count("\n") == 1
 
 
 def test_overflowing_results_are_errors(tmp_path, capsys):

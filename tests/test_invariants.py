@@ -61,6 +61,48 @@ def test_cofactor_matches_minors_bit_for_bit(rng):
         assert got.view(np.int64) == hodge.view(np.int64)
 
 
+def _continuous_reference(state) -> dict:
+    """The continuous invariants one formula at a time, with np.trace and
+    np.cross: a reference that shares no product with the kernel."""
+    a, b, T = state.alpha, state.beta, state.T
+    Tt = T.T
+    TTt = T @ Tt
+    TtT = Tt @ T
+    cof = np.cross(T[[1, 2, 0]], T[[2, 0, 1]])
+    return {
+        "I1": float(np.linalg.det(T)),
+        "I2": float(np.trace(TtT)),
+        "I3": float(np.trace(TtT @ TtT)),
+        "I4": float(a @ a),
+        "I5": float((Tt @ a) @ (Tt @ a)),
+        "I6": float((TTt @ a) @ (TTt @ a)),
+        "I7": float(b @ b),
+        "I8": float((T @ b) @ (T @ b)),
+        "I9": float((TtT @ b) @ (TtT @ b)),
+        "I12": float(a @ T @ b),
+        "I13": float(a @ T @ Tt @ T @ b),
+        "I14": 2.0 * float(a @ cof @ b),
+    }
+
+
+def test_continuous_kernel_matches_the_record_bit_for_bit(rng):
+    # records from bloch_from_density hold strided views of the transfer
+    # tensor, on which a contiguous copy would move the last bits
+    recs = _records_with_zeros(rng) + [
+        states.bloch_from_density(states.random_state("mixed" if i % 2 else "pure", 2, 900 + i))
+        for i in range(100)
+    ]
+    assert not recs[-1].T.flags.c_contiguous
+    for rec in recs:
+        got = invariants.makhlin_continuous(rec)
+        full = invariants.makhlin(rec)
+        want = _continuous_reference(rec)
+        assert tuple(got) == invariants.MakhlinRecord.CONTINUOUS
+        for name in got:
+            bits = np.array([got[name], getattr(full, name), want[name]]).view(np.int64)
+            assert bits[0] == bits[1] == bits[2], name
+
+
 def test_degrees_name_the_continuous_invariants():
     rec = invariants.MakhlinRecord
     assert rec.CONTINUOUS == tuple(rec.DEGREES)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import brute_trace
+from rmoments import invariants
+from rmoments import protocol_sim as ps
 from rmoments import symgroup as sg
-from rmoments import twirl
+from rmoments import twirl, verify
 from rmoments.haar_mc import haar_su2, mc_moment
 from rmoments.invariants import makhlin
 from rmoments.linalg import kron, nullspace
@@ -401,6 +403,26 @@ def test_dictionary_sizes():
     assert len(twirl.dictionary_for(4)) == 16
     assert len(twirl.dictionary_for(5)) == 23
     assert len(twirl.dictionary_for(6)) == 50
+    # built once per order: every decomposition shares the names
+    assert twirl.decompose(pauli_sum_observable(), 3).names is twirl.dictionary_for(3)
+
+
+def test_fit_designs_evaluate_no_sign_determinant(monkeypatch, rng):
+    # the designs and the recovery reference read only the continuous
+    # invariants; the six sign determinants of the full record stay out
+    def no_sign(x):
+        raise AssertionError("a sign invariant was evaluated")
+
+    monkeypatch.setattr(invariants, "_sign", no_sign)
+    ob = random_rank_observable(rng, 3)
+    assert twirl.decompose(ob, 4).residual <= 1e-8
+    assert twirl.odd_fit(ob, 4).residual <= 1e-8
+    for name in ps.PIPELINES:
+        ps.calibrate.__wrapped__(name)  # cold, past the cache
+    ps.recover_all(bloch_from_density(bell_state()))
+    verify._t3_fit_setup(rng)
+    with pytest.raises(AssertionError, match="sign invariant"):
+        invariants.makhlin(random_bloch_record(2, rng))
 
 
 # ---------------------------------------------------------------------------
