@@ -5,7 +5,11 @@ A protocol run draws K random local frames; within each frame it cycles
 through the product terms of the observable (one measurement setting per
 term), estimates each term's expectation from M projective shots, sums the
 settings, raises to the t-th power and averages over frames.  Powering the
-per-frame mean introduces an O(1/M) bias, controlled by M.  Frame drift
+per-frame mean introduces an O(1/M) bias, controlled by M.  The frames are
+the Bloch rotations R of ``haar_mc.haar_rotations``: a factor's
+eigenprojector P_o has Pauli row (c_o0, c_o'), U^dag P_o U has
+(c_o0, c_o' R), and contracting every party's rotated rows into the
+state's Pauli tensor gives all frames' outcome probabilities.  Frame drift
 turns each party about a fixed axis by the same angle theta, so a drifted
 copy's outcome probabilities are a trigonometric polynomial of degree 2n in
 theta/2: each frame gets a table of 2n + 1 coefficient columns per outcome,
@@ -32,10 +36,10 @@ from itertools import product
 import numpy as np
 
 from . import twirl
-from .haar_mc import MCEstimate, haar_bloch_blocks
+from .haar_mc import MCEstimate, haar_rotations
 from .invariants import kempe as kempe_record
 from .invariants import makhlin_continuous
-from .linalg import kron_all
+from .linalg import is_hermitian, kron_all
 from .observables import TripartiteObservable, dense_from_terms
 from .paulis import PAULIS, pauli_strings
 from .rng import substream
@@ -130,42 +134,49 @@ def simulate_moment(terms, rho, cfg: ProtocolConfig, label: str = "moment",
                 "each setting must be a product term: one 2x2 factor per party"
             )
     r = transfer_from_bloch(rho) if isinstance(rho, BlochRecord) else pauli_transfer(rho)
+    if not isinstance(rho, BlochRecord) and not is_hermitian(rho, tol=1e-9):
+        raise ValueError("the state matrix must be Hermitian")
     if r.ndim != n_parties:
         raise ValueError(f"{r.ndim}-qubit state does not match {n_parties} parties")
     n_set = len(terms)
     k_count, m_shots, t = cfg.unitary_count, cfg.shots_per_setting, cfg.moment
+    factors = [[_eigenrows(np.asarray(f, dtype=complex).tobytes()) for f in term]
+               for term in terms]
     rng = substream(cfg.seed, "protocol.simulate", label)
 
-    # random frames: per party and frame the Bloch rotation diag(1, R) of U
-    frames = haar_bloch_blocks(rng, n_parties, k_count)
+    # random frames: per party the entries of R, the Bloch rotation of U,
+    # as (3, 3 * frames) rows
+    frames = haar_rotations(rng, n_parties, k_count).reshape(n_parties, 3, -1)
 
     # the state's Pauli tensor, or with drift those of its expansion in the
-    # drift angle
+    # drift angle, each over 2^n
     ops = r[None]
     if cfg.drift_rate != 0.0:
         rho = np.tensordot(r.reshape(-1), pauli_strings(n_parties), 1) / 2**n_parties
         ops = np.array([pauli_transfer(m) for m in _drift_expansion(rho, n_parties)])
+    ops = ops.reshape(-1, 4) / 2**n_parties
     estimates = np.empty((k_count, n_set))
-    for j, term in enumerate(terms):
+    for j, term in enumerate(factors):
         # Born-rule traces for every frame: U^dag P_o U has the Pauli
-        # coefficients c_o diag(1, R) when P_o has c_o, and their product
-        # over parties contracts with each operator's Pauli tensor
-        joint, lam_prod = np.ones((k_count, 1, 1)), np.ones(1)
-        for factor, block in zip(term, frames):
-            vals, vecs = np.linalg.eigh(np.asarray(factor, dtype=complex))
-            c = np.real(np.einsum("ao,sab,bo->os", vecs.conj(), PAULIS, vecs)) @ block
-            joint = (joint[:, :, None, :, None] * c[:, None, :, None, :]).reshape(
-                k_count, 2 * joint.shape[1], -1)
+        # coefficients (c_o0, c_o' R) when P_o has (c_o0, c_o'); contract each
+        # party's rotated rows into the operators, last party first, to
+        # (outcomes, columns, frames) with party 0's outcome slowest
+        acc = ops @ _rotated_rows(term[-1][1], frames[-1])
+        for (_, rows), rot in zip(term[-2::-1], frames[-2::-1]):
+            acc = np.einsum("ojk,qxjk->oqxk", _rotated_rows(rows, rot),
+                            acc.reshape(len(acc), -1, 4, k_count))
+            acc = acc.reshape(-1, acc.shape[2], k_count)
+        lam_prod = np.ones(1)
+        for vals, _ in term:
             lam_prod = np.multiply.outer(lam_prod, vals).ravel()
-        table = joint @ ops.reshape(len(ops), -1).T / 2**n_parties
 
         if cfg.drift_rate == 0.0:
-            probs = _born(table[:, :, 0])
-            probs /= probs.sum(axis=1, keepdims=True)
-            counts = rng.multinomial(m_shots, probs)
+            probs = _normalised(_born(acc[:, 0]))
+            counts = rng.multinomial(m_shots, probs.T)
             estimates[:, j] = counts @ lam_prod / m_shots
         else:
-            estimates[:, j] = _drifted_setting(rng, table, lam_prod, cfg, j, n_set)
+            estimates[:, j] = _drifted_setting(rng, acc.transpose(2, 0, 1), lam_prod,
+                                               cfg, j, n_set)
 
     per_frame = estimates.sum(axis=1) ** t
     mean = float(np.mean(per_frame))
@@ -174,6 +185,30 @@ def simulate_moment(terms, rho, cfg: ProtocolConfig, label: str = "moment",
     if collect_trace:
         return est, estimates
     return est
+
+
+@lru_cache(maxsize=64)
+def _eigenrows(key: bytes) -> tuple:
+    """Eigenvalues of a 2x2 factor, given by its complex bytes, and the
+    Pauli rows tr(P_o s_mu) of its eigenprojectors, shape (2, 4); both
+    read-only.  Raises ValueError for a factor that is not Hermitian."""
+    factor = np.frombuffer(key, dtype=complex).reshape(2, 2)
+    if not is_hermitian(factor, tol=1e-9):
+        raise ValueError("each measured factor must be Hermitian")
+    vals, vecs = np.linalg.eigh(factor)
+    rows = np.real(np.einsum("ao,sab,bo->os", vecs.conj(), PAULIS, vecs))
+    vals.flags.writeable = rows.flags.writeable = False
+    return vals, rows
+
+
+def _rotated_rows(rows: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Eigenprojector Pauli rows in every frame, (2, 4, frames): the
+    identity coefficient, then the Bloch part times the frames' rotation
+    entries ``rot``, (3, 3 * frames)."""
+    out = np.empty((2, 4, rot.shape[1] // 3))
+    out[:, 0] = rows[:, :1]
+    out[:, 1:] = (rows[:, 1:] @ rot).reshape(2, 3, -1)
+    return out
 
 
 def _drifted_setting(rng, table, lam_prod, cfg, setting, n_set):

@@ -12,10 +12,10 @@ nonsingular Gram system on B,
 
 with the inverse of G_BB, cached once per t, and one step of iterative
 refinement per solution, which brings the residual to an LU solve's level;
-every residual is checked.  The moment of a state follows from the
-contractions tr(rho^xt V_{bA} x V_{bB}), which this module evaluates in the
-Pauli basis through the cycle-product trace formula with the Pauli-trace
-rows W_B of the basis -- rho^xt is never formed.
+every residual is checked relative to max(1, max|rhs|).  The moment of a
+state follows from the contractions tr(rho^xt V_{bA} x V_{bB}), which this
+module evaluates in the Pauli basis through the cycle-product trace formula
+with the Pauli-trace rows W_B of the basis -- rho^xt is never formed.
 
 A table's rows run over the multisets of product-term indices, not over
 every index tuple: one sorted representative per multiset, its weight
@@ -103,16 +103,20 @@ def _solve_basis(rhs: np.ndarray, t: int):
 
     x = G^-1 rhs, refined once by x += G^-1 (rhs - G x) (Higham, Accuracy
     and Stability of Numerical Algorithms, ch. 12): the residual falls to an
-    LU solve's level, without factoring G on every call."""
+    LU solve's level, without factoring G on every call.  The residual is
+    checked against SOLVE_RESIDUAL_TOL * max(1, max|rhs|): the right-hand
+    sides carry the factors' scale to the t-th power, so a good solve's
+    residual scales with them."""
     gram, inverse, _ = _basis_gram(t)
     # G[B, B] is real: every product runs over the interleaved real and
     # imaginary parts of the right-hand sides
     b = np.ascontiguousarray(rhs.T, dtype=complex).view(float)
     x = inverse @ b
     x += inverse @ (b - gram @ x)
-    residual = float(np.max(np.abs((gram @ x - b).view(complex)))) if rhs.size else 0.0
-    if residual > SOLVE_RESIDUAL_TOL:
-        raise EngineError(f"Gram solve residual {residual:.2e} above tolerance")
+    residual = float(np.max(np.abs((gram @ x - b).view(complex)), initial=0.0))
+    bound = SOLVE_RESIDUAL_TOL * float(np.max(np.abs(rhs), initial=1.0))
+    if residual > bound:
+        raise EngineError(f"Gram solve residual {residual:.2e} above tolerance {bound:.2e}")
     return x.view(complex).T, residual
 
 

@@ -191,9 +191,8 @@ def test_twirl_overflow_is_an_error(tmp_path, capsys):
 
 def test_engine_error_is_an_error_line(tmp_path, capsys, monkeypatch):
     # a Gram solve above the engine's residual tolerance ends in one error
-    # line and exit 2, not a traceback; a three-party t=3 table of random
-    # Hermitian factors scaled by 100 reaches it, and a negative tolerance
-    # makes every solve do so
+    # line and exit 2, not a traceback; a negative tolerance makes every
+    # solve do so
     monkeypatch.setattr(twirl, "SOLVE_RESIDUAL_TOL", -1.0)
     obs = tmp_path / "odet.json"
     obs.write_text(json.dumps(odet_doc()))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rmoments import twirl
-from rmoments.haar_mc import haar_so3_batch, haar_su2_batch, mc_moment
+from rmoments.haar_mc import haar_rotations, haar_so3_batch, haar_su2_batch, mc_moment
 from rmoments.linalg import kron
 from rmoments.observables import random_rank_observable
 from rmoments.paulis import PAULIS
@@ -124,6 +124,30 @@ def test_so3_batch_matches_fancy_index_construction(count):
         assert rots.tobytes() == ref.tobytes(), seed
 
 
+@pytest.mark.parametrize("parties", (1, 2, 3))
+@pytest.mark.parametrize("count", (1, 7, 500, 20000))
+def test_rotation_kernel_matches_fancy_index_construction(parties, count):
+    # the kernel makes the draws of one reference call per party, party 0
+    # first, leaves the generator where those calls leave it, and lays out
+    # every entry as a contiguous row over the draws
+    for seed in (0, 3, 31, 2024):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rots = haar_rotations(rng, parties, count)
+        ref = np.stack([_fancy_index_so3_batch(ref_rng, count) for _ in range(parties)])
+        assert rots.shape == (parties, 3, 3, count) and rots.flags.c_contiguous
+        assert np.moveaxis(rots, -1, 1).tobytes() == ref.tobytes(), seed
+        assert rng.standard_normal() == ref_rng.standard_normal()
+        rng = np.random.default_rng(seed)
+        so3 = np.stack([haar_so3_batch(rng, count) for _ in range(parties)])
+        assert so3.tobytes() == ref.tobytes(), seed
+    # the SU(2) matrices come from the same normalised quaternions
+    q = np.random.default_rng(count).standard_normal((count, 4))
+    a, b, c, d = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+    want = np.stack([a + 1j * b, c + 1j * d, -c + 1j * d, a - 1j * b], axis=1)
+    got = haar_su2_batch(np.random.default_rng(count), count)
+    assert got.tobytes() == want.reshape(count, 2, 2).tobytes()
+
+
 def _local_unitary_batch(rng, parties, count):
     us = [haar_su2_batch(rng, count) for _ in range(parties)]
     full = us[0]
@@ -163,6 +187,34 @@ def test_bloch_mc_matches_dense_loop(qubits):
             mean, stderr = _dense_mc_moment(ob, rho, t, samples, seed)
             assert est.mean == pytest.approx(mean, rel=1e-12), (seed, t)
             assert est.stderr == pytest.approx(stderr, rel=1e-12), (seed, t)
+
+
+@pytest.mark.parametrize("qubits", (2, 3))
+def test_mc_crosses_the_block_boundary_with_the_same_draws(qubits):
+    # 20,001 samples: one block of 20,000 draws per party, then one of 1
+    gen = np.random.default_rng(qubits)
+    dim = 2**qubits
+    g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    ob, rho = (g + g.conj().T) / 2.0, random_state("mixed", qubits, 90 + qubits)
+    est = mc_moment(ob, rho, 3, 20_001, 17)
+    mean, stderr = _dense_mc_moment(ob, rho, 3, 20_001, 17)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+def test_mc_rejects_non_hermitian_input():
+    # the Pauli coefficients of a non-Hermitian observable are complex, and
+    # their real part alone would sample a different observable
+    bad = kron(np.array([[1, 5], [0, -1]], dtype=complex), Z)
+    with pytest.raises(ValueError, match="Hermitian"):
+        mc_moment(bad, bell_state(), 2, 10, seed=0)
+    rho = bell_state()
+    rho[0, 3] += 0.3j
+    with pytest.raises(ValueError, match="Hermitian"):
+        mc_moment(kron(Z, Z), rho, 2, 10, seed=0)
+    # rounding-level asymmetry passes the Hermitian test
+    near = np.eye(4) + 1e-12 * kron(np.array([[0, 1], [0, 0]]), I)
+    assert mc_moment(near, bell_state(), 2, 10, seed=0).mean == pytest.approx(1.0)
 
 
 def test_mc_moment_raises_on_overflow():

@@ -83,6 +83,25 @@ def test_shot_samplers_reject_a_record_that_is_not_a_state(drift_rate):
     assert ps.recover_invariant("I2", record).estimate == pytest.approx(27.0)
 
 
+@pytest.mark.parametrize("drift_rate", (0.0, 1e-3))
+def test_shot_sampler_rejects_non_hermitian_input(drift_rate):
+    # eigh reads one triangle of its input: this factor would sample as Z
+    bad = np.array([[1, 5], [0, -1]], dtype=complex)
+    cfg = ps.ProtocolConfig(20, 10, 2, drift_rate=drift_rate, seed=1)
+    for terms, rho in (([[Z, Z], [X, bad]], bell_state()), ([[I, bad, Z]], ghz_state())):
+        with pytest.raises(ValueError, match="Hermitian"):
+            ps.simulate_moment(terms, rho, cfg)
+    # a full-rank state matrix with a small anti-Hermitian part passes the
+    # Born-rule check, so it is rejected by its own test
+    rho = random_state("mixed", 2, 3)
+    rho[0, 3] += 1e-3j
+    with pytest.raises(ValueError, match="Hermitian"):
+        ps.simulate_moment([[Z, Z]], rho, cfg)
+    # rounding-level asymmetry passes the Hermitian test
+    near = Z + np.array([[0, 1e-12], [0, 0]])
+    ps.simulate_moment([[near, Z]], bell_state() + 1e-12 * np.eye(4)[::-1] * 1j, cfg)
+
+
 def test_born_tolerance_only_forgives_rounding():
     probs = np.array([[0.5, 0.5 + ps.BORN_TOL / 2, -ps.BORN_TOL / 2]])
     np.testing.assert_array_equal(ps._born(probs), np.clip(probs, 0.0, None))

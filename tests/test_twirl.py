@@ -168,6 +168,28 @@ def test_basis_solve_matches_lu(rng):
                 assert residual <= 1e-13 * np.max(np.abs(rhs)), (t, rank)
 
 
+def test_basis_solve_guard_is_relative_to_the_right_hand_sides(rng, monkeypatch):
+    # six random Hermitian factors scaled by 10 put max|rhs| near 1e7 at
+    # t=6; the solve is as good as LU's relative to that scale, while its
+    # absolute residual (~1e-8) exceeds SOLVE_RESIDUAL_TOL
+    gram, inverse, cond = twirl._basis_gram(6)
+    for _ in range(5):
+        factors = 10.0 * np.array([random_hermitian(rng) for _ in range(6)])
+        rhs = twirl._rhs_for_tuples(factors, np.arange(6)[None])
+        x, residual = twirl._solve_basis(rhs, 6)
+        want = np.linalg.solve(gram, rhs.T).T
+        assert np.max(np.abs(x - want)) <= 1e-11 * np.max(np.abs(want))
+        assert residual <= twirl.SOLVE_RESIDUAL_TOL * np.max(np.abs(rhs))
+        twirl.solve_factor_coefficients(factors)
+    # an inverse off by a factor 1 + 1e-4 leaves a relative residual near
+    # 1e-8 after refinement: rejected at unit scale and at scale 10
+    monkeypatch.setattr(twirl, "_basis_gram", lambda t: (gram, inverse * (1 + 1e-4), cond))
+    for scale in (1.0, 10.0):
+        factors = scale * np.array([random_hermitian(rng) for _ in range(6)])
+        with pytest.raises(twirl.EngineError, match="Gram solve residual"):
+            twirl._solve_basis(twirl._rhs_for_tuples(factors, np.arange(6)[None]), 6)
+
+
 def test_basis_solve_of_no_right_hand_sides():
     # a rank-0 table has no rows to solve
     for t in range(1, 7):
