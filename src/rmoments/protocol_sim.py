@@ -36,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from . import twirl
-from .haar_mc import MCEstimate, haar_rotations
+from .haar_mc import TILE, MCEstimate, haar_rotations
 from .invariants import kempe as kempe_record
 from .invariants import makhlin_continuous
 from .linalg import is_hermitian, kron_all
@@ -72,6 +72,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.unitary_count < 1 or self.shots_per_setting < 1:
             raise ValueError("unitary_count and shots_per_setting must be >= 1")
+        if self.moment < 1:
+            raise ValueError(f"moment must be >= 1, got {self.moment}")
         if self.setting_change_cost < 0 or not np.isfinite(self.drift_rate):
             raise ValueError("setting_change_cost must be >= 0 and drift_rate finite")
 
@@ -127,6 +129,8 @@ def simulate_moment(terms, rho, cfg: ProtocolConfig, label: str = "moment",
     not.  With D rho D^dag = sum_e c^(2n-e) s^e M_e, the traces tr(P M_e)
     per frame and outcome form the table behind every copy's probabilities.
     """
+    if len(terms) == 0:
+        raise ValueError("simulate_moment needs at least one product term")
     n_parties = len(terms[0])
     for term in terms:
         if len(term) != n_parties or any(np.shape(f) != (2, 2) for f in term):
@@ -216,15 +220,17 @@ def _drifted_setting(rng, table, lam_prod, cfg, setting, n_set):
     advanced drift rotation; outcomes sampled shot by shot.  A copy drifted
     by theta in frame k has outcome probabilities
     sum_e c^(2n-e) s^e table[k, :, e], c = cos(theta/2), s = sin(theta/2).
-    Frames go in blocks of at most 2^13 copies, one uniform draw per copy in
-    frame-then-shot order.  A block holds one plane over its copies per power
-    and per outcome, and keeps the association of a per-copy row: powers are
-    repeated products ((c c) c) ..., totals those of ``probs.sum(axis=-1)``."""
+    Frames go in blocks of at most ``haar_mc.TILE`` copies (one frame when a
+    frame has more), one uniform draw per copy in frame-then-shot order.  A
+    block holds one plane over its copies per power and per outcome, and
+    keeps the association of a per-copy row: powers are repeated products
+    ((c c) c) ..., totals those of ``probs.sum(axis=-1)``.  Every step is
+    per copy or per frame, so the block size moves no bit of the trace."""
     k_count, m = cfg.unitary_count, cfg.shots_per_setting
     columns = table.shape[2]
     block = m + cfg.setting_change_cost
     shot_idx = np.arange(m)
-    step = max(1, (1 << 13) // m)
+    step = max(1, TILE // m)
     out = np.empty(k_count)
     for k0 in range(0, k_count, step):
         ks = np.arange(k0, min(k0 + step, k_count))

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rmoments import twirl
-from rmoments.haar_mc import haar_rotations, haar_so3_batch, haar_su2_batch, mc_moment
+from rmoments.haar_mc import (TILE, _power, haar_rotations, haar_so3_batch, haar_su2_batch,
+                              mc_moment)
 from rmoments.linalg import kron
 from rmoments.observables import random_rank_observable
 from rmoments.paulis import PAULIS
@@ -94,6 +97,16 @@ def test_mc_rejects_dimension_mismatch():
         mc_moment(np.eye(8, dtype=complex), bell_state(), 2, 10, seed=0)
 
 
+@pytest.mark.parametrize("t, samples", [(0, 10), (-1, 10), (2, 0), (2, -3)])
+def test_mc_rejects_orders_and_sample_counts_below_one(t, samples):
+    # t = 0 returned 1.0, t = -1 divided by zero, and no samples took the
+    # mean of an empty array and reported an overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be >= 1"):
+            mc_moment(kron(Z, Z), bell_state(), t, samples, seed=0)
+
+
 def test_so3_batch_is_the_adjoint_of_su2_batch():
     us = haar_su2_batch(np.random.default_rng(31), 2000)
     rots = haar_so3_batch(np.random.default_rng(31), 2000)
@@ -125,7 +138,7 @@ def test_so3_batch_matches_fancy_index_construction(count):
 
 
 @pytest.mark.parametrize("parties", (1, 2, 3))
-@pytest.mark.parametrize("count", (1, 7, 500, 20000))
+@pytest.mark.parametrize("count", (1, 7, 500, 4097, 9000, 20000))
 def test_rotation_kernel_matches_fancy_index_construction(parties, count):
     # the kernel makes the draws of one reference call per party, party 0
     # first, leaves the generator where those calls leave it, and lays out
@@ -200,6 +213,37 @@ def test_mc_crosses_the_block_boundary_with_the_same_draws(qubits):
     mean, stderr = _dense_mc_moment(ob, rho, 3, 20_001, 17)
     assert est.mean == pytest.approx(mean, rel=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("qubits", (2, 3))
+@pytest.mark.parametrize("samples", (TILE - 1, TILE, TILE + 1, 2 * TILE + 1, 20_001))
+def test_mc_tiles_match_the_dense_loop(qubits, samples):
+    # tiles of TILE draws inside blocks of 20,000: one short tile, exactly
+    # one tile, one draw over, two tiles and one draw, and a short block
+    gen = np.random.default_rng(samples + qubits)
+    dim = 2**qubits
+    g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    ob, rho = (g + g.conj().T) / 2.0, random_state("mixed", qubits, 95 + qubits)
+    est = mc_moment(ob, rho, 5, samples, 29)
+    mean, stderr = _dense_mc_moment(ob, rho, 5, samples, 29)
+    assert est.mean == pytest.approx(mean, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", (*range(1, 9), 40))
+def test_power_matches_pow_on_mixed_signs(t):
+    gen = np.random.default_rng(t)
+    x = gen.choice((-1.0, 1.0), 10_001) * gen.uniform(0.1, 2.0, 10_001)
+    np.testing.assert_allclose(_power(x, t), x ** t, rtol=1e-14, atol=0.0)
+    # beyond the largest float both overflow to the same signed infinity
+    big = np.array([3.0, -3.0, 1e200, -1e200, 1.5, -1.5, 0.5, 0.0])
+    for power in (t, t + 799, t + 800):
+        with np.errstate(over="ignore"):
+            got, want = _power(big, power), big ** power
+        assert np.array_equal(np.isinf(got), np.isinf(want)), power
+        assert np.array_equal(np.sign(got), np.sign(want)), power
+        np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)],
+                                   rtol=1e-13, atol=0.0)
 
 
 def test_mc_rejects_non_hermitian_input():

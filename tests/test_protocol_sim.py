@@ -57,6 +57,13 @@ def test_simulate_rejects_bad_config():
         ps.ProtocolConfig(0, 10, 2)
 
 
+@pytest.mark.parametrize("moment", (0, -1))
+def test_protocol_config_rejects_a_moment_below_one(moment):
+    # moment 0 gave mean 1.0 with stderr 0.0, and -1 divided by zero
+    with pytest.raises(ValueError, match="moment"):
+        ps.ProtocolConfig(10, 10, moment)
+
+
 @pytest.mark.parametrize("drift_rate, cost", [
     (1e-3, -5), (np.nan, 10), (np.inf, 0), (-np.inf, 0), (np.nan, 0),
 ])
@@ -272,6 +279,11 @@ def test_simulate_rejects_non_product_terms():
         ps.simulate_moment([[I, I]], bloch_from_density(ghz_state()), cfg)
 
 
+def test_simulate_rejects_an_empty_term_list():
+    with pytest.raises(ValueError, match="at least one"):
+        ps.simulate_moment([], bell_state(), ps.ProtocolConfig(5, 5, 2, seed=1))
+
+
 def _sample_rows(probs, draws):
     """Reference: inverse-CDF outcome index per row of ``probs``, the last
     CDF entry pinned to 1."""
@@ -455,9 +467,10 @@ def _vander_drifted_setting(rng, table, lam_prod, cfg, setting, n_set, seen=None
     ([[Z, I, I + Z]], random_state("pure", 3, 84)),
 ])
 @pytest.mark.parametrize("frames, shots, cost", [
-    (200, 100, 0),       # 200 frames: no multiple of either block step
+    (200, 100, 0),       # 200 frames: five blocks of 40 at 2^12 copies, one at 2^15
+    (130, 100, 5),       # 130 frames: no multiple of either block step (40 or 327)
     (90, 700, 600),
-    (3, 9000, 7),        # one frame per block at 2^13 copies, three at 2^15
+    (3, 9000, 7),        # one frame per block at 2^12 copies, three at 2^15
     (2, 33_000, 40),     # more shots than 2^15: one frame per block
 ])
 def test_drifted_trace_matches_vander_sampler(monkeypatch, terms, rho, frames, shots, cost):
