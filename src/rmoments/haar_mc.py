@@ -107,12 +107,6 @@ def haar_rotations(rng: np.random.Generator, parties: int, count: int) -> np.nda
     return out
 
 
-def haar_so3_batch(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The rotations of ``haar_rotations`` for one party, as a (count, 3, 3)
-    view."""
-    return haar_rotations(rng, 1, count)[0].transpose(2, 0, 1)
-
-
 def _pauli_coefficients(m: np.ndarray, parties: int) -> np.ndarray:
     """tr(m s_mu) for every Pauli string mu, party 0 first, as a real
     array of shape (4,) * parties."""

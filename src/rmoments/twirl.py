@@ -32,10 +32,14 @@ coefficient table on B x B.  It has k = min(n_rows, |B|) rows: with few
 multisets n, P holds w_n x_n and Q holds y_n; otherwise P = 1 and
 Q = sum_n w_n x_n y_n^T.  The moment is then the one contraction
 <P W_B, R^xt (Q W_B)> / 4^t with R the state's transfer matrix.  Both
-Pauli factors are kept string-major, as (4^t, k) columns, so R acts on one
-copy's index at a time over the trailing 4^(t-1-j) k columns: each of the
-t steps is one wide product on contiguous blocks (the mode-by-mode
-Kronecker product of Van Loan, J. Comput. Appl. Math. 123 (2000)).
+Pauli factors are kept string-major on the 4^(t-1) support rows of W_B, as
+(4^(t-1), k) columns, and contracted in column tiles of at most
+_TILE_ENTRIES complex entries at full length: each tile is scattered into
+zero-padded (4^t, n) columns and R acts on one copy's index at a time over
+the trailing 4^(t-1-j) n columns, so each of the t steps is one wide product
+on contiguous blocks (the mode-by-mode Kronecker product of Van Loan,
+J. Comput. Appl. Math. 123 (2000)) whose temporaries stay in cache.  A
+table of one tile scatters its pair once and reuses it.
 Three-party tables (t <= 3) keep one factor triple per multiset.  The
 rows of W_B are sparse, so their contraction with R3^xt reduces, once per
 table, to a short weighted sum of products of t entries of R3.
@@ -306,15 +310,14 @@ class TwirlCoefficients:
     diagnostics: EngineDiagnostics
     stacks: tuple
     weights: np.ndarray
-    _pauli: tuple = field(init=False, repr=False)   # (factors @ W_B)^T, full length
+    _pauli: tuple = field(init=False, repr=False)   # (factors @ W_B)^T on the support rows
 
     def __post_init__(self):
-        codes, w = _basis_w(self.t)
-        self._pauli = tuple(np.zeros((4**self.t, len(f)), dtype=complex) for f in self.factors)
-        for f, full in zip(self.factors, self._pauli):
-            # the collapsed first factor of a many-row table is the identity
-            identity = f.shape == (len(w), len(w)) and np.array_equal(f, np.eye(len(w)))
-            full[codes] = w.T if identity else (f @ w).T
+        w = _basis_w(self.t)[1]
+        # the collapsed first factor of a many-row table is the identity
+        self._pauli = tuple(
+            w.T if f.shape == (len(w), len(w)) and np.array_equal(f, np.eye(len(w)))
+            else (f @ w).T for f in self.factors)
 
     def dense(self, gauge: bool = False) -> np.ndarray:
         """Full coefficient table over S_t^parties: the minimum-norm table,
@@ -333,8 +336,7 @@ class TwirlCoefficients:
         r = transfer_from_bloch(state)
         t = self.t
         if self.parties == 2:
-            pw, qw = self._pauli
-            val = np.einsum("ck,ck->", pw, _apply_transfer(qw, r, t))
+            val = self._contract(r)
         else:
             idx, weights = self._triple_terms
             val = complex(*(weights @ np.prod(r.reshape(-1)[idx], axis=0)))
@@ -350,13 +352,33 @@ class TwirlCoefficients:
     def moments(self, states) -> np.ndarray:
         return np.array([self.moment(s) for s in states])
 
+    def _contract(self, r: np.ndarray) -> complex:
+        """<P W_B, R^xt (Q W_B)>, over column tiles of at most
+        _TILE_ENTRIES // 4^t columns, each scattered to full length and the
+        partial sums added in tile order."""
+        t, (p, q) = self.t, self._pauli
+        cols = _TILE_ENTRIES // 4**t
+        if p.shape[1] <= cols:
+            pw, qw = self._columns
+            return np.einsum("ck,ck->", pw, _apply_transfer(qw, r, t))
+        val = 0j
+        for start in range(0, p.shape[1], cols):
+            pw, qw = (_full_length(x[:, start:start + cols], t) for x in (p, q))
+            val += np.einsum("ck,ck->", pw, _apply_transfer(qw, r, t))
+        return val
+
+    @cached_property
+    def _columns(self):
+        """The full-length factor pair of a one-tile table, scattered once."""
+        return tuple(_full_length(x, self.t) for x in self._pauli)
+
     @cached_property
     def _triple_terms(self):
         """(idx, weights) with sum_k <wx_k x wy_k x wz_k, R3^xt> / 8^t =
         weights @ prod_s R3.flat[idx[s]] (real and imaginary row): the terms
         on the support of W_B, merged over reorderings of the t copies."""
         sup, t = _basis_w(self.t)[0], self.t
-        coef = np.einsum("ak,bk,ck->abc", *(w[sup] for w in self._pauli)).ravel() / 8**t
+        coef = np.einsum("ak,bk,ck->abc", *self._pauli).ravel() / 8**t
         # flat R3 index (a_s, b_s, c_s) of copy s for every support triple
         d = np.array(np.unravel_index(sup, (4,) * t))
         idx = 16 * d[:, :, None, None] + 4 * d[:, None, :, None] + d[:, None, None, :]
@@ -364,6 +386,18 @@ class TwirlCoefficients:
         uniq, inv = np.unique(key, return_inverse=True)
         weights = [np.bincount(inv, part[coef != 0], len(uniq)) for part in (coef.real, coef.imag)]
         return np.array(np.unravel_index(uniq, (64,) * t)), np.array(weights)
+
+
+#: complex entries of one full-length tile of Pauli factor columns (512 kB):
+#: 8 columns at t = 6, 32 at t = 5, every table at t <= 4
+_TILE_ENTRIES = 2**15
+
+
+def _full_length(rows: np.ndarray, t: int) -> np.ndarray:
+    """(4^t, n) columns over every Pauli string, zero off the support rows."""
+    full = np.zeros((4**t, rows.shape[1]), dtype=complex)
+    full[_basis_w(t)[0]] = rows
+    return full
 
 
 def _apply_transfer(w: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:

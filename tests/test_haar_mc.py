@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmoments import twirl
-from rmoments.haar_mc import (TILE, _power, haar_rotations, haar_so3_batch, haar_su2_batch,
+from rmoments.haar_mc import (TILE, _power, haar_rotations, haar_su2_batch,
                               mc_moment)
 from rmoments.linalg import kron
 from rmoments.observables import random_rank_observable
@@ -105,6 +105,12 @@ def test_mc_rejects_orders_and_sample_counts_below_one(t, samples):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be >= 1"):
             mc_moment(kron(Z, Z), bell_state(), t, samples, seed=0)
+
+
+def haar_so3_batch(rng, count):
+    """The rotations of ``haar_rotations`` for one party, as a (count, 3, 3)
+    view."""
+    return haar_rotations(rng, 1, count)[0].transpose(2, 0, 1)
 
 
 def test_so3_batch_is_the_adjoint_of_su2_batch():

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -1068,8 +1069,9 @@ def test_diagnostics_record(rng):
 def test_pauli_factors_match_the_full_trace_table(rng):
     # W_B, built by the right-hand-side kernel and kept on its support
     # columns, equals the multiplication-table reference (in value: some zero
-    # imaginary parts differ in sign); the factors built from it equal the
-    # products with the full reference table, the collapsed identity included
+    # imaginary parts differ in sign); the factors built from it, kept on the
+    # same support rows, equal the products with the full reference table
+    # there, the collapsed identity included
     from rmoments import protocol_sim as ps
 
     full = {t: _w_rows(sg.commutant_basis(t), t) for t in range(1, 7)}
@@ -1082,9 +1084,10 @@ def test_pauli_factors_match_the_full_trace_table(rng):
               for t, rank in ((1, 2), (2, 1), (3, 2), (4, 3), (5, 1), (6, 1), (6, 3))]
     tables += [co for name in ps.PIPELINES for co in ps._pipeline_engines(name)]
     for co in tables:
+        codes = twirl._basis_w(co.t)[0]
         for f, p in zip(co.factors, co._pauli):
-            assert p.shape == (4**co.t, len(f))
-            assert np.array_equal(p, (f @ full[co.t]).T)
+            assert p.shape == (4 ** (co.t - 1), len(f))
+            assert np.array_equal(p, (f @ full[co.t]).T[codes])
 
 
 def _row_major_transfer(w, r, t):
@@ -1119,6 +1122,94 @@ def _row_major_moment(co, state):
     weights = [np.bincount(inv, part[coef != 0], len(uniq)) for part in (coef.real, coef.imag)]
     idx = np.array(np.unravel_index(uniq, (64,) * t))
     return (np.array(weights) @ np.prod(r.reshape(-1)[idx], axis=0))[0]
+
+
+def _untiled_moment(co, state):
+    """The two-party moment contracted over zero-padded (4^t, k) columns in
+    one piece: the reference for the column tiles of
+    ``TwirlCoefficients.moment``, in the same arithmetic as one tile."""
+    codes, w = twirl._basis_w(co.t)
+    cols = []
+    for f in co.factors:
+        full = np.zeros((4**co.t, len(f)), dtype=complex)
+        identity = f.shape == (len(w), len(w)) and np.array_equal(f, np.eye(len(w)))
+        full[codes] = w.T if identity else (f @ w).T
+        cols.append(full)
+    z = twirl._apply_transfer(cols[1], transfer_from_bloch(state), co.t)
+    return float((np.einsum("ck,ck->", cols[0], z) / 4**co.t).real)
+
+
+def _tile_columns(t):
+    return twirl._TILE_ENTRIES // 4**t
+
+
+def _moment_states(rng):
+    return [random_bloch_record(2, rng),
+            bloch_from_density(random_state("mixed", 2, int(rng.integers(1000)))),
+            bloch_from_density(bell_state())]
+
+
+def test_one_tile_moments_are_untiled_bit_for_bit(rng):
+    # every table at t <= 4 and every pipeline table fits in one tile, whose
+    # full-length columns are scattered once and give the untiled moment
+    tables = [co for name in ps.PIPELINES for co in ps._pipeline_engines(name)]
+    for t in range(1, 5):
+        for rank in (1, 2, 3, 4):
+            tables += [twirl.twirl_coefficients(random_rank_observable(rng, rank), t),
+                       twirl.twirl_coefficients(random_symmetric_observable(rng, rank), t)]
+    states = _moment_states(rng)
+    for co in tables:
+        assert co.parties == 2 and len(co.factors[0]) <= _tile_columns(co.t)
+        for st in states:
+            assert co.moment(st).hex() == _untiled_moment(co, st).hex(), co.t
+        assert co._columns[0].shape == (4**co.t, len(co.factors[0]))
+
+
+def test_tiled_moments_match_the_untiled_contraction(rng, monkeypatch):
+    # t = 6 at ranks 3-4 and t = 5 at rank 4 (collapsed to k = |B| = 42) span
+    # several tiles, whose partial sums move only at rounding level
+    states = _moment_states(rng)
+    for t, rank in ((5, 4), (6, 3), (6, 4)):
+        for obs in (random_rank_observable(rng, rank), random_symmetric_observable(rng, rank)):
+            co = twirl.twirl_coefficients(obs, t)
+            assert len(co.factors[0]) > _tile_columns(t)
+            for st in states:
+                got = co.moment(st)
+                assert got == pytest.approx(_row_major_moment(co, st), rel=1e-12)
+                assert got == pytest.approx(_untiled_moment(co, st), rel=1e-12)
+    # tile widths around a table's k columns (k - 1 leaves a one-column last
+    # tile) and three columns, over several tiles
+    for t, rank in ((5, 3), (6, 2)):
+        obs = random_rank_observable(rng, rank)
+        k = len(twirl.twirl_coefficients(obs, t).factors[0])
+        for cols in (k + 1, k, k - 1, 3):
+            monkeypatch.setattr(twirl, "_TILE_ENTRIES", cols * 4**t)
+            co = twirl.twirl_coefficients(obs, t)
+            for st in states:
+                got, want = co.moment(st), _untiled_moment(co, st)
+                assert got == pytest.approx(_row_major_moment(co, st), rel=1e-12), (t, cols)
+                assert got == pytest.approx(want, rel=1e-12), (t, cols)
+                if cols >= k:
+                    assert got.hex() == want.hex(), (t, cols)
+
+
+def test_t6_rank4_table_memory(rng):
+    # the Pauli factors live on their 4^(t-1) support rows and the moment
+    # scatters them one tile at a time: neither the build nor the moment
+    # forms a (4^t, k) array of the whole table
+    obs, state = random_rank_observable(rng, 4), random_bloch_record(2, rng)
+    twirl.twirl_coefficients(obs, 6).moment(state)  # fill the engine's caches
+    tracemalloc.start()
+    try:
+        co = twirl.twirl_coefficients(obs, 6)
+        held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        co.moment(state)
+        moment_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 4 * 2**20
+    assert moment_peak <= 3 * 2**20
 
 
 def test_transfer_matches_row_major_kernel_bit_for_bit(rng):
