@@ -183,6 +183,8 @@ def _cmd_twirl(args) -> int:
         raise InputError(f"twirl supports two- and three-party observables, got {parties}")
     if parties == 3 and args.t > 3:
         raise InputError(f"three-party twirl supports t <= 3, got t={args.t}")
+    if args.gauge == "reduced" and args.t > max(twirl.GAUGE_ZEROS):
+        raise InputError(f"the reduced gauge is designated at t <= 4 only, got t={args.t}")
     state = _load_state(args.state) if args.state else None
     if state is not None and state.parties != parties:
         raise DimensionError(f"a {parties}-party observable needs a {parties}-qubit state")
@@ -191,10 +193,9 @@ def _cmd_twirl(args) -> int:
     else:
         obs = TripartiteObservable(terms, weights)
     coeffs = twirl.twirl_coefficients(obs, args.t)
-    doc = {"t": args.t, "parties": parties}
+    doc = {"t": args.t, "parties": parties, "gauge": args.gauge}
     dense = coeffs.dense(gauge=args.gauge == "reduced")
     perms = [p.cycle_string() for p in symgroup.enumerate_group(args.t)]
-    doc["gauge"] = args.gauge
     doc["coefficients"] = {
         "order": perms,
         "real": np.real(dense).tolist(),

@@ -47,12 +47,11 @@ table, to a short weighted sum of products of t entries of R3.
 Tables over all of S_t are derived from the basis solution on request.
 Such a table is invariant under conjugation by V_sigma x V_sigma only once
 it sums every ordering, so it is rebuilt from every index tuple.
-Embedding x_B into S_t (zeros off B) gives one solution of the full Gram
-system.  Kernel vectors of the full Gram matrix are exactly the linear
-dependencies among the V_pi, so projecting the embedded solution off the
-kernel gives the minimum-norm table, and the kernel shift of ``gauge_fix``
-gives the reduced-gauge table in which a designated set of coefficients
-vanishes.
+Every V_pi is an integer combination sum_b R[pi, b] V_b of the basis, with
+the straightening matrix R certified exactly once per t, so the solutions
+over S_t of a basis solution x_B are the c with R^T c = x_B: the minimum-norm
+table takes pinv(R)^T x_B, the reduced-gauge table (t = 3, 4) the one c that
+vanishes on a designated set of coefficients, R inverted on the other rows.
 """
 
 import cmath
@@ -64,7 +63,6 @@ import numpy as np
 
 from . import symgroup as sg
 from .invariants import MakhlinRecord, makhlin_continuous
-from .linalg import nullspace
 from .observables import SchmidtObservable, TripartiteObservable, schmidt_decompose
 from .paulis import PAULIS
 from .rng import substream
@@ -208,7 +206,7 @@ def solve_factor_coefficients(factors) -> np.ndarray:
     sum_pi x_pi V_pi the Haar average of F_1 x ... x F_t over simultaneous
     rotations.
 
-    Any kernel shift of the result represents the same operator.
+    Every c with R^T c = R^T x (R of ``_straightening``) is the same operator.
     """
     factors = [np.asarray(f, dtype=complex) for f in factors]
     t = len(factors)
@@ -222,8 +220,7 @@ def solve_factor_coefficients(factors) -> np.ndarray:
 # Gauge fixing and full-S_t tables
 # ---------------------------------------------------------------------------
 
-# coefficients that a kernel shift can always set to zero, leaving a
-# uniquely determined reduced support
+# coefficients that vanish in the reduced gauge: R is nonsingular on the rest
 GAUGE_ZEROS = {
     3: ("(132)",),
     4: ("(132)", "(124)", "(142)", "(134)", "(143)", "(234)", "(243)",
@@ -232,52 +229,47 @@ GAUGE_ZEROS = {
 
 
 @lru_cache(maxsize=None)
-def _gram_kernel(t: int) -> np.ndarray:
-    """Orthonormal kernel of the full Gram matrix of S_t, one column per
-    linear dependency among the V_pi."""
-    kernel = nullspace(sg.gram_matrix(t, 2))
-    kernel.setflags(write=False)
-    return kernel
-
-
-@lru_cache(maxsize=None)
-def _gauge_shift(t: int):
-    """Pair (rows, shift) such that x + shift @ x[rows] zeroes the
-    designated coefficients while staying in the solution set."""
-    rows = np.array([sg.cycle_index(t)[name] for name in GAUGE_ZEROS[t]])
-    kernel = _gram_kernel(t)
-    if kernel.shape[1] != len(rows):
-        raise EngineError("kernel dimension does not match gauge constraint count")
-    shift = -kernel @ np.linalg.inv(kernel[rows, :])
-    return rows, shift
-
-
-def gauge_fix(x: np.ndarray, t: int) -> np.ndarray:
-    """Shift a Gram-system solution by kernel vectors so the designated
-    coefficients vanish (t = 3: the long 3-cycle; t = 4: seven 3-cycles and
-    the double transpositions)."""
-    if t not in GAUGE_ZEROS:
-        return np.asarray(x)
-    rows, shift = _gauge_shift(t)
-    x = np.asarray(x, dtype=complex)
-    return x + x[..., rows] @ shift.T
+def _straightening(t: int) -> np.ndarray:
+    """Integer (t!, |B|) matrix R with V_pi = sum_b R[pi, b] V_b, read-only:
+    rint(G[:, B] G[B, B]^-1), certified by R G[B, B] = G[:, B] exactly (every
+    partial sum is an integer below 2^53), as the trace form is nonsingular
+    on the span of the V_b.  Only full-S_t tables read it."""
+    gram, inverse, _ = _basis_gram(t)
+    cols = sg.gram_block(sg.enumerate_group(t), sg.commutant_basis(t), 2).astype(float)
+    r = np.rint(cols @ inverse)
+    if not np.array_equal(r @ gram, cols):
+        raise EngineError(f"the straightening matrix of S_{t} fails its certificate")
+    r.setflags(write=False)
+    return r
 
 
 @lru_cache(maxsize=None)
 def _embedding(t: int, reduced: bool) -> np.ndarray:
-    """Real (t!, |B|) map from basis coefficients to a full S_t solution:
-    the minimum-norm one or, with ``reduced``, the gauge-fixed one."""
+    """Real (t!, |B|) map from basis coefficients x_B to a solution c over
+    S_t of R^T c = x_B: the minimum-norm one, pinv(R)^T, or with ``reduced``
+    at t = 3, 4 the one that is zero on GAUGE_ZEROS, R[S]^-T on the rest S."""
+    if reduced and t not in GAUGE_ZEROS:
+        return _embedding(t, False)
+    r = _straightening(t)
     if reduced:
-        # each column is a solution over S_t: gauge-fix the rows of the transpose
-        emb = np.ascontiguousarray(gauge_fix(_embedding(t, False).T, t).real.T)
+        rows = np.setdiff1d(np.arange(len(r)), [sg.cycle_index(t)[n] for n in GAUGE_ZEROS[t]])
+        if len(rows) != r.shape[1]:
+            raise EngineError("gauge constraints do not leave one solution per basis vector")
+        emb = np.zeros(r.shape)
+        emb[rows] = np.linalg.inv(r[rows]).T
     else:
-        index, basis = sg.cycle_index(t), sg.commutant_basis(t)
-        emb = np.zeros((len(index), len(basis)))
-        emb[[index[b.cycle_string()] for b in basis], np.arange(len(basis))] = 1.0
-        kernel = _gram_kernel(t)
-        emb -= kernel @ (kernel.T @ emb)
+        emb = np.ascontiguousarray(np.linalg.pinv(r).T)
     emb.setflags(write=False)
     return emb
+
+
+def gauge_fix(x: np.ndarray, t: int) -> np.ndarray:
+    """The solution over S_t of the same operator as ``x`` that is exactly
+    zero on GAUGE_ZEROS (t = 3: the long 3-cycle; t = 4: seven 3-cycles and
+    the double transpositions), from its basis coefficients R^T x."""
+    if t not in GAUGE_ZEROS:
+        return np.asarray(x)
+    return (np.asarray(x, dtype=complex) @ _straightening(t)) @ _embedding(t, True).T
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +312,9 @@ class TwirlCoefficients:
             else (f @ w).T for f in self.factors)
 
     def dense(self, gauge: bool = False) -> np.ndarray:
-        """Full coefficient table over S_t^parties: the minimum-norm table,
-        or with ``gauge`` the reduced-gauge table of every party."""
+        """Full coefficient table over S_t^parties: the minimum-norm table, or
+        with ``gauge`` the reduced-gauge one of every party at t = 3, 4 (at
+        t <= 2 both are the unique table; at t >= 5 ``gauge`` changes nothing)."""
         tuples = _index_tuples(len(self.weights), self.t)
         factors, _ = _factor_rows(self.stacks, self.weights, self.parties, tuples, 1)
         emb = _embedding(self.t, gauge)
@@ -561,6 +554,13 @@ def fit(names, design: np.ndarray, y: np.ndarray) -> MomentDecomposition:
     return MomentDecomposition(names=tuple(names), coefficients=sol, residual=residual)
 
 
+def _table(obs, t: int) -> TwirlCoefficients:
+    """The order-t table of ``obs``, or ``obs`` itself if it is one."""
+    if isinstance(obs, TwirlCoefficients) and obs.t != t:
+        raise ValueError(f"an order-{obs.t} table cannot give order-{t} moments")
+    return obs if isinstance(obs, TwirlCoefficients) else twirl_coefficients(obs, t)
+
+
 def _fit_states(count: int, seed: int, label: str) -> list:
     rng = substream(seed, "twirl.fit", label)
     return [random_bloch_record(2, rng) for _ in range(count)]
@@ -574,7 +574,7 @@ def decompose(obs, t: int, dictionary=None, seed: int = 20240) -> MomentDecompos
     it is reported, not fatal.
     """
     names = tuple(dictionary) if dictionary is not None else dictionary_for(t)
-    coeffs = twirl_coefficients(obs, t) if not isinstance(obs, TwirlCoefficients) else obs
+    coeffs = _table(obs, t)
     states = _fit_states(max(3 * len(names), 24), seed, f"decompose-t{t}-{len(names)}")
     design = np.array([eval_monomials(names, s) for s in states])
     return fit(names, design, coeffs.moments(states))
@@ -587,7 +587,7 @@ def odd_part(obs, state, t: int) -> float:
     invariants of degree <= 4, so for t <= 4 this isolates their combined
     contribution exactly.
     """
-    coeffs = twirl_coefficients(obs, t) if not isinstance(obs, TwirlCoefficients) else obs
+    coeffs = _table(obs, t)
     state = as_bloch(state, parties=2)
     return (coeffs.moment(state) - coeffs.moment(partial_transpose_bloch(state))) / 2.0
 
@@ -596,7 +596,7 @@ def odd_fit(obs, t: int):
     """Fit the PT-odd part over {det T, Hodge}; returns a decomposition
     whose names are ("I1", "I14")."""
     names = ("I1", "I14")
-    coeffs = twirl_coefficients(obs, t) if not isinstance(obs, TwirlCoefficients) else obs
+    coeffs = _table(obs, t)
     states = _fit_states(12, 31400, f"oddfit-t{t}")
     design = np.array([eval_monomials(names, s) for s in states])
     return fit(names, design, np.array([odd_part(coeffs, s, t) for s in states]))

@@ -328,9 +328,7 @@ def check_det_t4_nogo(seed: int, count: int = 200):
     for _ in range(20):
         frame = random_orthonormal_hermitian(rng, 2)
         for jj in _product(range(2), repeat=4):
-            x = twirl.gauge_fix(
-                twirl.solve_factor_coefficients([frame[j] for j in jj]), 4
-            )
+            x = twirl.gauge_fix(twirl.solve_factor_coefficients([frame[j] for j in jj]), 4)
             for a, b in _FOUR_CYCLE_INVERSES.items():
                 dev = max(dev, abs(x[index[a]] - x[index[b]]))
     return count + 20 * 16, dev, dev <= 1e-9
@@ -474,9 +472,8 @@ def check_x123_vanishing(seed: int, count: int = 200):
         dev = max(dev, abs(-2 * ta**3 + 6 * ta - 4 * np.trace(a @ a @ a)))
         dev = max(dev, abs(-2 * ta**2 * tb + 2 * tb - 4 * np.trace(a @ a @ b)))
         for jj in _product(range(2), repeat=3):
-            x = twirl.solve_factor_coefficients([(a, b)[j] for j in jj])
-            xf = twirl.gauge_fix(x, 3)
-            dev = max(dev, abs(xf[index["(123)"]]))
+            x = twirl.gauge_fix(twirl.solve_factor_coefficients([(a, b)[j] for j in jj]), 3)
+            dev = max(dev, abs(x[index["(123)"]]))
     return count, dev, dev <= 1e-10
 
 

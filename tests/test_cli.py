@@ -62,6 +62,31 @@ def test_twirl_subcommand(tmp_path):
     assert doc["decomposition"]["coefficients"]["I1"] == pytest.approx(1.0)
 
 
+def test_twirl_reduced_gauge_by_order(tmp_path, capsys):
+    # the reduced gauge is designated at t = 3, 4, where its zeros are
+    # exact, and is the unique table at t <= 2; at t = 5 only the
+    # minimum-norm table is defined
+    obs = tmp_path / "zz.json"
+    obs.write_text(json.dumps(observable_to_json([[Z, Z]])))
+    out = tmp_path / "twirl.json"
+    for t in (1, 2, 3, 4):
+        assert run(["twirl", "--observable", str(obs), "--t", str(t), "--gauge", "reduced",
+                    "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["gauge"] == "reduced"
+        for name in twirl.GAUGE_ZEROS.get(t, ()):
+            row = doc["coefficients"]["order"].index(name)
+            for part in ("real", "imag"):
+                table = np.array(doc["coefficients"][part])
+                assert not np.any(table[row]) and not np.any(table[:, row]), (t, name)
+    assert run(["twirl", "--observable", str(obs), "--t", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["gauge"] == "minnorm"
+    capsys.readouterr()
+    assert run(["twirl", "--observable", str(obs), "--t", "5", "--gauge", "reduced"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_mc_subcommand(tmp_path):
     obs = tmp_path / "odet.json"
     obs.write_text(json.dumps(odet_doc()))
@@ -366,6 +391,10 @@ def test_seeded_output_is_byte_identical(tmp_path):
     pytest.param(["twirl", "--observable", "{odet}", "--t", "7"], None, id="twirl-t-above-max"),
     pytest.param(["twirl", "--observable", "{xxx}", "--t", "4"], cli.EXIT_BAD_INPUT,
                  id="twirl-three-party-t-4"),
+    # no gauge is designated at t >= 5: the reduced table used to be the
+    # minimum-norm one under a "reduced" label
+    pytest.param(["twirl", "--observable", "{odet}", "--t", "5", "--gauge", "reduced"],
+                 cli.EXIT_BAD_INPUT, id="twirl-reduced-gauge-t-5"),
     # a twirl needs two or three parties: one factor used to raise
     # IndexError, four factors gave a table that ignored the fourth
     pytest.param(["twirl", "--observable", "{x}", "--t", "2"], cli.EXIT_BAD_INPUT,

@@ -199,34 +199,103 @@ def test_basis_solve_of_no_right_hand_sides():
         assert x.shape == (0, size) and residual == 0.0
 
 
+def _svd_minimum_norm_embedding(t):
+    """The minimum-norm map through the SVD kernel K of the full Gram
+    matrix: the basis embedded into S_t (zeros off B), projected off K."""
+    emb = np.zeros((factorial(t), len(sg.commutant_basis(t))))
+    index = {p: i for i, p in enumerate(sg.enumerate_group(t))}
+    emb[[index[b] for b in sg.commutant_basis(t)], np.arange(emb.shape[1])] = 1.0
+    kernel = nullspace(sg.gram_matrix(t, 2))
+    return emb - kernel @ (kernel.T @ emb), kernel
+
+
 def test_reduced_embedding_is_the_gauge_fixed_minimum_norm_map():
-    # the embedding's reduced gauge comes from gauge_fix; it equals the
-    # direct shift of the minimum-norm map, bit for bit, and stays real
-    for t in (3, 4):
-        emb = np.zeros((factorial(t), len(sg.commutant_basis(t))))
-        index = {p: i for i, p in enumerate(sg.enumerate_group(t))}
-        emb[[index[b] for b in sg.commutant_basis(t)], np.arange(emb.shape[1])] = 1.0
-        kernel = nullspace(sg.gram_matrix(t, 2))
-        emb -= kernel @ (kernel.T @ emb)
+    # the reduced embedding agrees with the SVD kernel shift of the
+    # minimum-norm map that zeroes GAUGE_ZEROS; it is exactly zero there,
+    # and since det R[S] is 1 at t = 3 and 4 at t = 4 its entries are
+    # integers and quarters
+    for t, denominator in ((3, 1), (4, 4)):
+        emb, kernel = _svd_minimum_norm_embedding(t)
         names = [p.cycle_string() for p in sg.enumerate_group(t)]
         rows = np.array([names.index(name) for name in twirl.GAUGE_ZEROS[t]])
-        shift = -kernel @ np.linalg.inv(kernel[rows, :])
-        emb += shift @ emb[rows]
+        emb += -kernel @ np.linalg.solve(kernel[rows, :], emb[rows])
         got = twirl._embedding(t, True)
         assert got.dtype == float and not got.flags.writeable
-        assert np.array_equal(_bits(got), _bits(emb)), t
+        assert np.max(np.abs(got - emb)) <= 1e-12 * np.max(np.abs(emb)), t
+        assert np.all(got[rows] == 0.0), t
+        assert np.array_equal(got * denominator, np.rint(got * denominator)), t
+
+
+def test_straightening_matrix_is_certified():
+    # V_pi = sum_b R[pi, b] V_b with R integer, R[B] = I, the certificate
+    # R G[B, B] = G[:, B] exact in integers, and null(R^T) the SVD kernel of
+    # the full Gram matrix, the linear dependencies among the V_pi
+    bounds, kernel_dims = (1, 1, 1, 2, 3, 6), (0, 0, 1, 10, 78, 588)
+    for t, bound, kernel_dim in zip(range(1, 7), bounds, kernel_dims):
+        r = twirl._straightening(t)
+        group, basis = sg.enumerate_group(t), sg.commutant_basis(t)
+        on_basis = [sg.cycle_index(t)[b.cycle_string()] for b in basis]
+        assert r.shape == (factorial(t), len(basis)) and not r.flags.writeable
+        assert np.array_equal(r, np.rint(r)) and np.max(np.abs(r)) == bound, t
+        assert np.array_equal(r[on_basis], np.eye(len(basis)))
+        gram = sg.gram_matrix(t, 2).astype(np.int64)
+        ints = r.astype(np.int64)
+        assert np.array_equal(ints @ gram[np.ix_(on_basis, on_basis)], gram[:, on_basis]), t
+        kernel = nullspace(gram)
+        assert kernel.shape[1] == kernel_dim == factorial(t) - len(basis)
+        assert np.max(np.abs(r.T @ kernel), initial=0.0) <= 1e-12, t
+        if t <= 4:
+            for row, p in zip(ints, group):
+                op = sum(c * sg.v_matrix(b, 2) for c, b in zip(row, basis) if c)
+                assert np.array_equal(op, sg.v_matrix(p, 2)), (t, p)
+
+
+def test_minimum_norm_embedding_matches_the_svd_projection():
+    # pinv(R)^T solves R^T c = x_B with the smallest norm, as does the
+    # projection of the embedded basis off the SVD kernel
+    for t in range(1, 7):
+        emb, _ = _svd_minimum_norm_embedding(t)
+        got = twirl._embedding(t, False)
+        assert got.dtype == float and not got.flags.writeable
+        assert np.max(np.abs(got - emb)) <= 1e-12 * np.max(np.abs(emb)), t
+        np.testing.assert_allclose(twirl._straightening(t).T @ got, np.eye(got.shape[1]),
+                                   rtol=0, atol=1e-12)
+    for t in (1, 2):
+        assert np.array_equal(twirl._embedding(t, False), np.eye(t))
+        assert np.array_equal(twirl._embedding(t, True), np.eye(t))
+
+
+def test_straightening_matrix_stays_off_the_build_and_moment_path(rng):
+    # every benchmark operation and set-up (pipeline tables, calibrations,
+    # moments, fits, recoveries) runs without building R
+    twirl._straightening.cache_clear()
+    twirl._basis_gram.cache_clear()
+    state2, state3 = random_bloch_record(2, rng), random_bloch_record(3, rng)
+    for name in ps.PIPELINES:
+        for table in ps._pipeline_engines.__wrapped__(name):
+            table.moment(state2)
+        ps.calibrate.__wrapped__(name)
+    ps._kempe_calibration.__wrapped__()
+    ps.recover_all(state2)
+    ps.recover_kempe(state3)
+    for t in range(1, 7):
+        co = twirl.twirl_coefficients(random_rank_observable(rng, 4), t)
+        co.moment(state2)
+    twirl.decompose(pauli_sum_observable(), 3)
+    twirl.odd_fit(hodge_observable(+1), 4)
+    assert twirl._straightening.cache_info().currsize == 0
 
 
 def test_gauge_fix_zeroes_designated_entries(rng):
     x3 = twirl.gauge_fix(twirl.solve_factor_coefficients(
         [random_hermitian(rng) for _ in range(3)]), 3)
     names3 = [p.cycle_string() for p in sg.enumerate_group(3)]
-    assert abs(x3[names3.index("(132)")]) <= 1e-12
+    assert x3[names3.index("(132)")] == 0
     x4 = twirl.gauge_fix(twirl.solve_factor_coefficients(
         [random_hermitian(rng) for _ in range(4)]), 4)
     names4 = [p.cycle_string() for p in sg.enumerate_group(4)]
     for nm in twirl.GAUGE_ZEROS[4]:
-        assert abs(x4[names4.index(nm)]) <= 1e-12
+        assert x4[names4.index(nm)] == 0
     # the shift stays inside the solution set: same operator either way
     raw = twirl.solve_factor_coefficients([random_hermitian(rng) for _ in range(3)])
     fixed = twirl.gauge_fix(raw, 3)
@@ -459,6 +528,18 @@ def test_odd_part_vanishes_for_product_observables(rng):
         for _ in range(5):
             st = random_bloch_record(2, rng)
             assert twirl.odd_part(co, st, t) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_prebuilt_table_must_match_the_order(rng):
+    # a table passed with another moment order used to give that order's
+    # moments silently: odd_part(table_t4, state, 3) was the t=4 odd part
+    state = random_bloch_record(2, rng)
+    co = twirl.twirl_coefficients(pauli_sum_observable(), 4)
+    for call in (lambda: twirl.odd_part(co, state, 3), lambda: twirl.odd_fit(co, 3),
+                 lambda: twirl.decompose(co, 3)):
+        with pytest.raises(ValueError, match="order-4 table"):
+            call()
+    assert twirl.odd_part(co, state, 4) == twirl.odd_part(pauli_sum_observable(), state, 4)
 
 
 def test_odd_part_pauli_sum_bell(bell_record):
