@@ -135,32 +135,21 @@ def v_matrix(p: Permutation, d: int) -> np.ndarray:
     if dim > V_MATRIX_SIZE_CAP:
         raise ValueError(f"d^t = {dim} exceeds size cap {V_MATRIX_SIZE_CAP}")
     # column j maps to row i with i_k = j_{p(k)}
-    cols = np.arange(dim)
-    digits = np.empty((t, dim), dtype=np.int64)
-    rem = cols.copy()
-    for k in range(t - 1, -1, -1):
-        digits[k] = rem % d
-        rem //= d
-    rows = np.zeros(dim, dtype=np.int64)
-    for k in range(t):
-        rows = rows * d + digits[p.images[k]]
+    shape = (d,) * t
+    digits = np.indices(shape).reshape(t, dim)
     v = np.zeros((dim, dim), dtype=complex)
-    v[rows, cols] = 1.0
+    v[np.ravel_multi_index(digits[list(p.images)], shape), np.arange(dim)] = 1.0
     return v
 
 
 _GRAM_ROW_BLOCK = 64
 
 
-def _codes(images: np.ndarray, t: int) -> np.ndarray:
-    """Base-t code sum_i images[..., i] t^(k-1-i) of the last axis (length k)."""
-    return images @ t ** np.arange(images.shape[-1] - 1, -1, -1)
-
-
 @lru_cache(maxsize=None)
 def _cycle_counts(t: int) -> np.ndarray:
-    """Read-only int8 table of #cycles(pi), indexed by the base-t code of
-    pi's one-line images; codes of non-permutations hold 0.
+    """Read-only int8 table of #cycles(pi), indexed by the base-t code
+    sum_i pi(i) t^(t-1-i) of pi's one-line images, the code ``gram_block``
+    builds for each composition; codes of non-permutations hold 0.
 
     Each point is labelled with the smallest point of its cycle by
     pointer-chasing over all t! permutations at once, and the cycles are
@@ -172,7 +161,7 @@ def _cycle_counts(t: int) -> np.ndarray:
     for _ in range(t - 1):
         label = np.minimum(label, np.take_along_axis(label, perms, axis=-1))
     counts = np.zeros(t ** t, dtype=np.int8)
-    counts[_codes(perms, t)] = np.sum(label == points, axis=-1)
+    counts[perms @ t ** np.arange(t - 1, -1, -1)] = np.sum(label == points, axis=-1)
     counts.setflags(write=False)
     return counts
 
@@ -182,35 +171,26 @@ def gram_block(rows, cols, d: int) -> np.ndarray:
     smallest signed integer type that holds d^t: convert it before any
     arithmetic that could leave that range.
 
-    The cycle count of a composition is looked up by its base-t code
-    sum_i a(b(i)) t^(t-1-i) in ``_cycle_counts(t)``.  The code splits into
-    a part over the first floor(t/2) positions i and one over the rest.  For
-    a block of rows, each part is tabulated at every tuple of positions
-    (b(i))_i of its length, and each column b picks its entry by the code of
-    its own tuple.  A row block then costs two gathers, one add and two
-    lookups (the cycle count, then d to that power), and no (rows, cols, t)
+    For each block of rows, the base-t code sum_i a(b(i)) t^(t-1-i) of every
+    composition is built by Horner's rule over the positions i, one gather
+    of the rows at the columns' images b(i) per position, and then looked up
+    once, in d to the power of ``_cycle_counts(t)``.  No (rows, cols, t)
     composition array is built.
     """
     left = np.array([p.images for p in rows], dtype=np.intp)
-    right = np.array([p.images for p in cols], dtype=np.intp)
+    right = np.array([p.images for p in cols], dtype=np.intp).T
     t = left.shape[1]
-    place = t ** np.arange(t - 1, -1, -1)
-    halves = []
-    for h in (slice(0, t // 2), slice(t // 2, t)):
-        k = h.stop - h.start
-        # every k-tuple of positions in code order, and each column's k-tuple
-        halves.append((np.indices((t,) * k).reshape(k, t ** k).T, place[h],
-                       _codes(right[:, h], t)))
-    counts = _cycle_counts(t)
-    # -d^t - 1 forces a signed type wide enough for +d^t as well
+    # d^#cycles by code; -d^t - 1 forces a signed type wide enough for +d^t
     dtype = np.min_scalar_type(-(d ** t) - 1)
-    powers = (d ** np.arange(t + 1)).astype(dtype)
-    out = np.empty((len(left), len(right)), dtype=dtype)
+    powers = (d ** np.arange(t + 1)).astype(dtype)[_cycle_counts(t)]
+    out = np.empty((len(left), right.shape[1]), dtype=dtype)
     for start in range(0, len(left), _GRAM_ROW_BLOCK):
         block = left[start:start + _GRAM_ROW_BLOCK]
-        code0, code1 = (np.take(block[:, tuples] @ weights, key, axis=1)
-                        for tuples, weights, key in halves)
-        out[start:start + len(block)] = powers[counts[code0 + code1]]
+        code = block[:, right[0]]
+        for images in right[1:]:
+            code *= t
+            code += block[:, images]
+        out[start:start + len(block)] = powers[code]
     return out
 
 

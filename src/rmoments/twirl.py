@@ -63,6 +63,7 @@ import numpy as np
 
 from . import symgroup as sg
 from .invariants import MakhlinRecord, makhlin_continuous
+from .linalg import is_hermitian
 from .observables import SchmidtObservable, TripartiteObservable, schmidt_decompose
 from .paulis import PAULIS
 from .rng import substream
@@ -406,9 +407,12 @@ def _apply_transfer(w: np.ndarray, r: np.ndarray, t: int) -> np.ndarray:
 
 
 def as_bloch(state, parties: int = 2):
-    """Coerce a density matrix or Bloch record to the Bloch form."""
+    """Coerce a density matrix, Hermitian to 1e-9, or a Bloch record to the Bloch form."""
     if not isinstance(state, BlochRecord):
-        state = bloch_from_density(np.asarray(state, dtype=complex))
+        rho = np.asarray(state, dtype=complex)
+        state = bloch_from_density(rho)
+        if not is_hermitian(rho, tol=1e-9):
+            raise ValueError("the state matrix must be Hermitian")
     if state.parties != parties:
         raise ValueError(f"expected {parties}-party state, got {state.parties}-party")
     return state

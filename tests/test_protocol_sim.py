@@ -109,6 +109,34 @@ def test_shot_sampler_rejects_non_hermitian_input(drift_rate):
     ps.simulate_moment([[near, Z]], bell_state() + 1e-12 * np.eye(4)[::-1] * 1j, cfg)
 
 
+def test_exact_engine_and_recovery_reject_non_hermitian_input():
+    # the Bloch record keeps only the real parts of the Pauli traces, so an
+    # anti-Hermitian part would otherwise be dropped without a word
+    obs = np.kron(Z, Z) + 0.5 * np.kron(X, I)
+    rho = random_state("mixed", 2, 3)
+    rho[0, 1] += 0.2
+    table = twirl.twirl_coefficients(obs, 2)
+    calls = (
+        lambda: twirl.exact_moment(obs, rho, 2),
+        lambda: table.moment(rho),
+        lambda: twirl.odd_part(obs, rho, 3),
+        lambda: ps.recover_invariant("I2", rho),
+        lambda: ps.recover_all(rho),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="Hermitian"):
+            call()
+    ghz = ghz_state()
+    ghz[0, 7] += 1e-3j
+    with pytest.raises(ValueError, match="Hermitian"):
+        ps.recover_kempe(ghz)
+    # rounding-level asymmetry passes the Hermitian test
+    near = bell_state() + 1e-12 * np.eye(4)[::-1] * 1j
+    assert twirl.exact_moment(obs, near, 2) == pytest.approx(
+        twirl.exact_moment(obs, bell_state(), 2), abs=1e-9)
+    ps.recover_all(near)
+    ps.recover_kempe(ghz_state() + 1e-12 * np.eye(8)[::-1] * 1j)
+
 def test_born_tolerance_only_forgives_rounding():
     probs = np.array([[0.5, 0.5 + ps.BORN_TOL / 2, -ps.BORN_TOL / 2]])
     np.testing.assert_array_equal(ps._born(probs), np.clip(probs, 0.0, None))

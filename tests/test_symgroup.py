@@ -116,6 +116,47 @@ def test_v_matrix_size_cap():
         sg.v_matrix(sg.identity(7), 4)
 
 
+def digit_loop_v_matrix(p, d):
+    """Reference kernel: each column's base-d digits split off one at a
+    time, and the row rebuilt from the permuted digits."""
+    t = p.size
+    dim = d**t
+    cols = np.arange(dim)
+    digits = np.empty((t, dim), dtype=np.int64)
+    rem = cols.copy()
+    for k in range(t - 1, -1, -1):
+        digits[k] = rem % d
+        rem //= d
+    rows = np.zeros(dim, dtype=np.int64)
+    for k in range(t):
+        rows = rows * d + digits[p.images[k]]
+    v = np.zeros((dim, dim), dtype=complex)
+    v[rows, cols] = 1.0
+    return v
+
+
+def assert_same_v(p, d):
+    got, want = sg.v_matrix(p, d), digit_loop_v_matrix(p, d)
+    assert got.dtype == want.dtype and np.array_equal(got, want), (p, d)
+
+
+def test_v_matrix_matches_digit_loop():
+    # every permutation up to d^t = 243, a sample at 729 and 1024; at the
+    # cap, d^t = 4096, each complex matrix alone is 268 MB
+    rng = np.random.default_rng(29)
+    for d in (1, 2, 3, 4):
+        for t in range(1, 7):
+            if d**t > 1024:
+                continue
+            perms = sg.enumerate_group(t)
+            if d**t > 243:
+                perms = [perms[0], perms[-1], *(perms[i] for i in rng.integers(0, len(perms), 30))]
+            for p in perms:
+                assert_same_v(p, d)
+    # the (1234) x (1432) pair permutation the Hodge check builds on 8 points
+    assert_same_v(sg.Permutation((2, 7, 4, 1, 6, 3, 0, 5)), 2)
+
+
 def test_v_product_matches_composition():
     # pins the operator convention V_p V_q = V_{q o p}
     for t in (2, 3, 4):
@@ -260,9 +301,10 @@ def test_gram_block_matches_pointer_chasing():
 
 
 def test_cold_gram_block_memory():
-    # the lookup kernel never holds a (rows, cols, t) composition array: it
-    # peaks near 2 MB, the pointer-chasing kernel at 9.0 MB in row blocks and
-    # the whole S_6 x S_6 x 6 composition array is 25 MB
+    # the Horner kernel holds one (64, cols) code array per row block and
+    # never a (rows, cols, t) composition array: it peaks near 1.4 MB, the
+    # pointer-chasing kernel at 9.0 MB in row blocks and the whole
+    # S_6 x S_6 x 6 composition array is 25 MB
     perms = sg.enumerate_group(6)
     sg._cycle_counts.cache_clear()
     tracemalloc.start()
@@ -271,7 +313,7 @@ def test_cold_gram_block_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * 2**20
+    assert peak < 1.75 * 2**20
 
 
 def longest_decreasing(images):
